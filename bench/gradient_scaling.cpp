@@ -2,9 +2,9 @@
 // end-to-end through core::fitHypothesis (the production path).
 //
 // Expected shape: evals_per_fit drops by >= 3x under `analytic` — every BFGS
-// iteration replaces its numBranches finite-difference probes with one
-// pruning-style gradient sweep, leaving only the handful of
-// substitution/mixture coordinates to finite-difference.  `fd-parallel`
+// iteration replaces all of its finite-difference probes (branch lengths,
+// kappa, omegas, proportions) with one pruning-style gradient sweep over
+// the line search's last evaluation.  `fd-parallel`
 // keeps the evaluation count of `fd` but fans the probe points across
 // single-threaded evaluators (a wall-clock win on multi-core hosts; on the
 // 1-core dev container it collapses to the serial path).

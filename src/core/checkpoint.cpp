@@ -505,7 +505,15 @@ std::uint64_t checkpointConfigHash(const Config& config) {
   add("useTreeBranchLengths", config.fit.useTreeBranchLengths ? "1" : "0");
   addD("initialBranchLength", config.fit.initialBranchLength);
   add("seed", std::to_string(config.fit.startJitterSeed));
-  add("gradient", gradientModeName(config.fit.tuning.gradient));
+  // The analytic gradient carries a revision: since revision 2 it
+  // differentiates kappa, the omegas and the proportions analytically
+  // (revision 1 finite-differenced them), so its trajectories moved and a
+  // revision-1 state must not resume under it.  fd and fd-parallel
+  // trajectories are unchanged, so their checkpoints stay resumable.
+  const GradientMode gradient = config.fit.tuning.gradient;
+  add("gradient", gradient == GradientMode::Analytic
+                      ? "analytic/2"
+                      : gradientModeName(gradient));
   // The *resolved* level: a checkpoint written under `simd = auto` on an
   // AVX-512 host must not silently continue with different arithmetic on an
   // AVX2 host — the hash mismatch turns that into a keyed refusal.

@@ -243,8 +243,8 @@ seqio::CodonAlignment loadAlignmentFile(const std::string& path,
   seqIn >> std::ws;
   seqIn.get(first);
   seqIn.unget();
-  const auto aln = (first == '>') ? seqio::Alignment::readFasta(seqIn)
-                                  : seqio::Alignment::readPhylip(seqIn);
+  const auto aln = (first == '>') ? seqio::Alignment::readFasta(seqIn, path)
+                                  : seqio::Alignment::readPhylip(seqIn, path);
   return seqio::encodeCodons(aln, bio::GeneticCode::universal(),
                              stopCodonsAsMissing);
 }

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <tuple>
 
 #include "core/objective.hpp"
 #include "opt/transforms.hpp"
@@ -109,6 +110,23 @@ class ParameterPacking {
 
   const opt::Transform& branchTransform() const noexcept { return branch_; }
 
+  /// kappa, omega0 and (under H1) omega2 lead the vector.
+  int substitutionCoordinates() const noexcept { return h1_ ? 3 : 2; }
+
+  /// d lnL / d x over [0, branchOffset) from the mixture gradient.
+  void chain(std::span<const double> x, const lik::MixtureGradient& g,
+             std::span<double> out) const {
+    out[0] = g.kappa * kappa_.derivative(x[0]);
+    out[1] = g.omega[model::kOmegaConserved] * omega0_.derivative(x[1]);
+    int at = 2;
+    if (h1_) {
+      out[at] = g.omega[model::kOmegaPositive] * omega2_.derivative(x[at]);
+      ++at;
+    }
+    std::tie(out[at], out[at + 1]) = opt::simplex2Gradient(
+        x[at], x[at + 1], g.proportion[0], g.proportion[1]);
+  }
+
  private:
   bool h1_;
   int numBranches_;
@@ -185,6 +203,30 @@ class ScenarioPacking {
 
   const opt::Transform& branchTransform() const noexcept { return branch_; }
 
+  /// kappa, (clade C) omega0 and the class omegas lead the vector.
+  int substitutionCoordinates() const noexcept {
+    return omegaOffset() + numClassOmegas_;
+  }
+
+  /// d lnL / d x over [0, branchOffset) from the mixture gradient.  The
+  /// class omegas fill the spec's slots from 0 (branch) or 2 (clade C,
+  /// after omega0 and the neutral class).
+  void chain(std::span<const double> x, const lik::MixtureGradient& g,
+             std::span<double> out) const {
+    out[0] = g.kappa * kappa_.derivative(x[0]);
+    if (cladeC_) out[1] = g.omega[0] * omega0_.derivative(x[1]);
+    const int firstSlot = cladeC_ ? 2 : 0;
+    for (int c = 0; c < numClassOmegas_; ++c) {
+      const int i = omegaOffset() + c;
+      out[i] = g.omega[firstSlot + c] * classOmega_.derivative(x[i]);
+    }
+    if (cladeC_) {
+      const int at = omegaOffset() + numClassOmegas_;
+      std::tie(out[at], out[at + 1]) = opt::simplex2Gradient(
+          x[at], x[at + 1], g.proportion[0], g.proportion[1]);
+    }
+  }
+
  private:
   bool cladeC_;
   int numClassOmegas_;
@@ -259,8 +301,7 @@ FitResult fitScenarioHypothesis(
   LikelihoodObjective objective(
       eval, context.alignment(), context.patterns(), context.pi(),
       context.tree(), hypothesis, likOptions, mode, fitOptions.tuning.policy,
-      fanWorkers,
-      {packing.branchOffset(), numBranches, packing.branchTransform()},
+      fanWorkers, LikelihoodObjective::layoutOf(packing, numBranches),
       [&packing, &gc, &context, &spec, numBranches](
           lik::BranchSiteLikelihood& e,
           std::span<const double> x) -> model::MixtureSpec {
@@ -365,8 +406,7 @@ FitResult fitHypothesis(const AnalysisContext& context, Hypothesis hypothesis,
   LikelihoodObjective objective(
       eval, context.alignment(), context.patterns(), context.pi(),
       context.tree(), hypothesis, likOptions, mode, fitOptions.tuning.policy,
-      fanWorkers,
-      {packing.branchOffset(), numBranches, packing.branchTransform()},
+      fanWorkers, LikelihoodObjective::layoutOf(packing, numBranches),
       [&packing, &gc, &context, hypothesis, numBranches](
           lik::BranchSiteLikelihood& e,
           std::span<const double> x) -> model::MixtureSpec {

@@ -61,11 +61,12 @@ enum class GradientMode {
   /// pool of single-threaded evaluators on core::TaskScheduler.  Values are
   /// bit-identical to FiniteDiff for every worker count.
   ParallelFiniteDiff,
-  /// Hybrid analytic gradient: branch-length derivatives from one extra
-  /// pruning-style sweep (dP/dt via the eigendecomposition), finite
-  /// differences only for the few substitution/mixture parameters.
-  /// Eliminates the dominant per-branch FD axis (>= 3x fewer evaluations
-  /// per fit on realistic trees).
+  /// Full analytic gradient: every coordinate — branch lengths, kappa,
+  /// the omegas and the mixture proportions — from one extra pruning-style
+  /// sweep over the evaluation's retained state (dP/dt and dP/dtheta via
+  /// the eigendecomposition), so eigen-path fits spend no evaluation on
+  /// gradients.  Under expm = adaptive (no eigensystem) kappa and the
+  /// omegas are finite-differenced.
   Analytic,
 };
 

@@ -42,6 +42,8 @@ LikelihoodObjective::LikelihoodObjective(
   SLIM_REQUIRE(layout_.branchOffset >= 0 &&
                    layout_.numBranches == main_.numBranches(),
                "LikelihoodObjective: layout does not match the evaluator");
+  SLIM_REQUIRE(layout_.chain != nullptr,
+               "LikelihoodObjective: layout without a chain rule");
   // Probe evaluators must be single-threaded: the parallelism lives in the
   // coordinate fan-out, exactly as task-level fit fan-out forces
   // single-threaded pattern sweeps.
@@ -122,8 +124,8 @@ opt::GradientResult LikelihoodObjective::valueAndGradient(
   if (mode_ != GradientMode::Analytic || layout_.numBranches == 0)
     return ObjectiveFunction::valueAndGradient(x, grad, options);
 
-  // The hybrid writes exactly two blocks — FD for [0, branchOffset), the
-  // analytic chain rule for the branch tail — so they must tile the whole
+  // The analytic gradient writes exactly two blocks — the leading block
+  // [0, branchOffset) and the branch tail — so they must tile the whole
   // vector or a coordinate would silently keep its stale gradient entry.
   SLIM_REQUIRE(layout_.branchOffset + layout_.numBranches ==
                    static_cast<int>(x.size()),
@@ -132,14 +134,14 @@ opt::GradientResult LikelihoodObjective::valueAndGradient(
   opt::GradientResult result;
   result.gradientSweeps = 1;
   const bool reuse = lastValid_ && sameLengthEqual(lastX_, x);
+  lik::MixtureGradient g;
   double lnL;
-  std::vector<double> branchGrad(layout_.numBranches);
   try {
     if (reuse) {
-      lnL = main_.gradientBranchesAtLastEvaluation(branchGrad);
+      lnL = main_.gradientAtLastEvaluation(g);
     } else {
       const model::MixtureSpec spec = prepare_(main_, x);
-      lnL = main_.logLikelihoodGradientBranches(spec, branchGrad);
+      lnL = main_.logLikelihoodGradient(spec, g);
       ++result.functionEvaluations;
     }
   } catch (const std::invalid_argument&) {
@@ -158,20 +160,27 @@ opt::GradientResult LikelihoodObjective::valueAndGradient(
 
   const double f0 = std::isnan(options.knownValue) ? -lnL : options.knownValue;
   result.value = f0;
-  result.analyticCoordinates = layout_.numBranches;
 
   // Branch block: d(-lnL)/dx_i = -(d lnL/d t) * (d t/d x_i).
   for (int k = 0; k < layout_.numBranches; ++k) {
     const int i = layout_.branchOffset + k;
-    grad[i] = -branchGrad[k] * layout_.branchTransform.derivative(x[i]);
+    grad[i] = -g.branch[k] * layout_.branchTransform.derivative(x[i]);
   }
 
-  // Leading substitution/mixture coordinates: the ordinary FD path over
-  // this objective's evaluateMany (fanned when the policy allows), so the
-  // hybrid's FD block and a pure-fd gradient share one step rule.
-  if (layout_.branchOffset > 0)
+  // Leading block: the packing's chain rule over the mixture gradient.
+  // What the evaluator cannot differentiate (kappa and the omegas under
+  // expm = adaptive) takes the ordinary FD path over this objective's
+  // evaluateMany, so it shares one step rule with a pure-fd gradient.
+  const auto lead = grad.first(static_cast<std::size_t>(layout_.branchOffset));
+  layout_.chain(x, g, lead);
+  for (double& v : lead) v = -v;
+  const int fdCoordinates = main_.substitutionGradientAnalytic()
+                                ? 0
+                                : layout_.substitutionCoordinates;
+  result.analyticCoordinates = static_cast<int>(x.size()) - fdCoordinates;
+  if (fdCoordinates > 0)
     opt::fdGradient(*this, x, f0, options.relStep, options.central,
-                    grad.first(static_cast<std::size_t>(layout_.branchOffset)),
+                    grad.first(static_cast<std::size_t>(fdCoordinates)),
                     result.functionEvaluations);
   return result;
 }

@@ -19,11 +19,14 @@
 //     (propagator_cache.hpp), so concurrent probes must not share one, but
 //     per-evaluator shards stay warm across every gradient of the fit;
 //   * valueAndGradient(x, grad) under GradientMode::Analytic computes the
-//     branch-length block of the gradient analytically in one extra
-//     pruning-style sweep (reusing the evaluator's retained state when the
-//     optimizer differentiates at the point it just evaluated — the common
-//     case, costing zero re-evaluations) and finite-differences only the
-//     leading substitution/mixture coordinates through evaluateMany.
+//     whole gradient analytically in one extra pruning-style sweep (reusing
+//     the evaluator's retained state when the optimizer differentiates at
+//     the point it just evaluated — the common case, costing zero
+//     re-evaluations): branch lengths directly, the leading
+//     substitution/mixture coordinates through the packing's chain rule.
+//     Only under expm = adaptive, which has no eigensystem to differentiate
+//     kappa and the omegas through, are those coordinates finite-differenced
+//     through evaluateMany.
 //
 // Both fitHypothesis (branch-site model A) and the site-model fits drive
 // their BFGS searches through this class; they differ only in the
@@ -53,6 +56,13 @@ class LikelihoodObjective final : public opt::ObjectiveFunction {
   using PreparePoint = std::function<model::MixtureSpec(
       lik::BranchSiteLikelihood&, std::span<const double>)>;
 
+  /// Maps the evaluator's mixture gradient at point x onto the leading
+  /// block [0, branchOffset): writes d lnL / d x_i there, applying the
+  /// packing's transform Jacobians.
+  using ChainRule = std::function<void(
+      std::span<const double> x, const lik::MixtureGradient&,
+      std::span<double> dLnL)>;
+
   /// Where the branch-length block lives in the optimization vector.
   struct Layout {
     int branchOffset = 0;  ///< Coordinates [branchOffset, branchOffset + n).
@@ -60,7 +70,27 @@ class LikelihoodObjective final : public opt::ObjectiveFunction {
     /// Internal-coordinate -> branch-length transform (chain-rule factor for
     /// the analytic block).
     opt::Transform branchTransform = opt::Transform::identity();
+    /// The leading block's chain rule (required; a no-op when
+    /// branchOffset == 0).
+    ChainRule chain;
+    /// How many leading coordinates carry kappa and the omegas — the ones
+    /// finite-differenced when the evaluator cannot differentiate them
+    /// (expm = adaptive).
+    int substitutionCoordinates = 0;
   };
+
+  /// The layout of a fit packing (anything with branchOffset(),
+  /// branchTransform(), substitutionCoordinates() and chain()); the packing
+  /// must outlive the objective.
+  template <class Packing>
+  static Layout layoutOf(const Packing& packing, int numBranches) {
+    return {packing.branchOffset(), numBranches, packing.branchTransform(),
+            [&packing](std::span<const double> x,
+                       const lik::MixtureGradient& g, std::span<double> out) {
+              packing.chain(x, g, out);
+            },
+            packing.substitutionCoordinates()};
+  }
 
   /// `evaluator` is the fit's main evaluator (caller-owned, must outlive
   /// this object).  `poolOptions` configures probe evaluators — pass the

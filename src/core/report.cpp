@@ -53,6 +53,20 @@ void writeFitReport(std::ostream& os, const FitResult& fit) {
        << fit.iterationsReplayed << " iterations replayed)\n";
 }
 
+namespace {
+
+// The nested model's fit ending above the larger model's is an optimizer
+// stopping short; the LRT clamps its statistic to 0, and this line says so.
+void writeNestedShortfall(std::ostream& os, const stat::LrtResult& lrt) {
+  if (lrt.nestedShortfall > 0)
+    os << "  warning: the larger model's lnL is " << std::setprecision(6)
+       << lrt.nestedShortfall
+       << " below the nested model's (nested shortfall); 2*dlnL is "
+          "clamped to 0\n";
+}
+
+}  // namespace
+
 void writeTestReport(std::ostream& os, const PositiveSelectionTest& test,
                      EngineKind engine, double siteThreshold) {
   const auto kind = test.h1.modelKind;
@@ -75,6 +89,7 @@ void writeTestReport(std::ostream& os, const PositiveSelectionTest& test,
   if (kind == model::ModelKind::BranchSite)
     os << ", p(mixture) = " << test.lrt.pMixture;
   os << '\n';
+  writeNestedShortfall(os, test.lrt);
   if (test.lrt.significantAt(0.05))
     os << (kind == model::ModelKind::BranchSite
                ? "  => positive selection DETECTED on the foreground branch "
@@ -137,6 +152,7 @@ void writeSiteModelReport(std::ostream& os, const SiteModelTest& test,
   writeSiteFit(os, test.m2a);
   os << "  LRT: 2*dlnL = " << std::setprecision(6) << test.lrt.statistic
      << ", p(chi2_2) = " << test.lrt.pChi2 << '\n';
+  writeNestedShortfall(os, test.lrt);
   if (test.lrt.significantAt(0.05))
     os << "  => positive selection DETECTED across the gene (5% level)\n";
   else
@@ -283,6 +299,8 @@ void jsonTest(std::ostream& os, const PositiveSelectionTest& test,
   jsonNumber(os, test.lrt.pChi2);
   os << ",\"pMixture\":";
   jsonNumber(os, test.lrt.pMixture);
+  os << ",\"nestedShortfall\":";
+  jsonNumber(os, test.lrt.nestedShortfall);
   os << ",\"significantAt05\":"
      << (test.lrt.significantAt(0.05) ? "true" : "false") << '}';
   os << ",\"positiveSites\":[";

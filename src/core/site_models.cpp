@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <tuple>
 
 #include "core/objective.hpp"
 #include "opt/transforms.hpp"
@@ -73,6 +74,24 @@ class SitePacking {
 
   const opt::Transform& branchTransform() const noexcept { return branch_; }
 
+  /// kappa, omega0 and (M2a) omega2 lead the vector.
+  int substitutionCoordinates() const noexcept { return m2a_ ? 3 : 2; }
+
+  /// d lnL / d x over [0, branchOffset) from the mixture gradient (slots:
+  /// omega0 = 0, omega2 = 2; M1a's one proportion parameter is p0).
+  void chain(std::span<const double> x, const lik::MixtureGradient& g,
+             std::span<double> out) const {
+    out[0] = g.kappa * kappa_.derivative(x[0]);
+    out[1] = g.omega[0] * omega0_.derivative(x[1]);
+    if (m2a_) {
+      out[2] = g.omega[2] * omega2_.derivative(x[2]);
+      std::tie(out[3], out[4]) =
+          opt::simplex2Gradient(x[3], x[4], g.proportion[0], g.proportion[1]);
+    } else {
+      out[2] = g.proportion[0] * p0_.derivative(x[2]);
+    }
+  }
+
  private:
   bool m2a_;
   int numBranches_;
@@ -124,7 +143,7 @@ SiteModelFitResult SiteModelAnalysis::fit(SiteModel m) {
   LikelihoodObjective objective(
       eval, alignment_, patterns_, pi_, tree_, Hypothesis::H1, likOptions,
       mode, options_.tuning.policy, fanWorkers,
-      {packing.branchOffset(), numBranches, packing.branchTransform()},
+      LikelihoodObjective::layoutOf(packing, numBranches),
       [&packing, &gc, this, m, numBranches](
           lik::BranchSiteLikelihood& e,
           std::span<const double> x) -> model::MixtureSpec {

@@ -82,6 +82,7 @@ BranchSiteLikelihood::BranchSiteLikelihood(
 
   // Map leaves onto alignment rows by name and build their static CPVs.
   leafCpv_.resize(tree_.numNodes());
+  leafState_.resize(tree_.numNodes());
   for (int id : tree_.postOrder()) {
     const auto& node = tree_.node(id);
     if (!node.isLeaf()) continue;
@@ -94,8 +95,10 @@ BranchSiteLikelihood::BranchSiteLikelihood(
     SLIM_REQUIRE(row >= 0, "leaf '" + node.label + "' not found in alignment");
     Matrix& cpv = leafCpv_[id];
     cpv.resize(npat_, n_);
+    leafState_[id].resize(npat_);
     for (int h = 0; h < npat_; ++h) {
       const int state = patterns_.patterns[h][row];
+      leafState_[id][h] = state;
       if (state == seqio::kMissingState) {
         for (int i = 0; i < n_; ++i) cpv(h, i) = 1.0;  // missing: any codon
       } else {
@@ -239,11 +242,9 @@ const Matrix& BranchSiteLikelihood::propagator(int node, int omegaIdx) {
 
   const int eigenIdx = omegaToEigen_[omegaIdx];
   const bool adaptive = options_.expm == backend::ExpmAlgorithm::Adaptive;
-  double t = tree_.branchLength(node);
+  const double t = propagatorLength(node);
 
   if (shard_) {
-    if (options_.cacheQuantum > 0.0)
-      t = std::round(t / options_.cacheQuantum) * options_.cacheQuantum;
     const PropagatorCacheShard::Key ck{eigenIdx, std::bit_cast<std::uint64_t>(t)};
     auto it = shard_->entries.find(ck);
     if (it == shard_->entries.end()) {
@@ -282,7 +283,7 @@ void BranchSiteLikelihood::prebuildPropagators() {
   for (int node : branchNodes_) {
     const int branchClass = tree_.node(node).mark;
     for (int m = 0; m < numClasses_; ++m)
-      propagator(node, activeClasses_[m].omegaFor(branchClass));
+      propagator(node, activeSpec_.classes[m].omegaFor(branchClass));
   }
 }
 
@@ -343,7 +344,7 @@ void BranchSiteLikelihood::pruneClassBlock(int m, int h0, int len,
     ws.vecTmp.assign(n_, 0.0);
 
   const int root = tree_.root();
-  const auto& cls = activeClasses_[m];
+  const auto& cls = activeSpec_.classes[m];
   for (int id : tree_.postOrder()) {
     const auto& node = tree_.node(id);
     if (node.isLeaf()) continue;
@@ -478,10 +479,10 @@ void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
 }
 
 bool BranchSiteLikelihood::classUnderPositiveSelection(int m) const noexcept {
-  const auto& row = activeClasses_[m].omega;
-  if (row.size() == 1) return activeOmegas_[row.front()] > 1.0;
+  const auto& row = activeSpec_.classes[m].omega;
+  if (row.size() == 1) return activeSpec_.omegas[row.front()] > 1.0;
   for (std::size_t b = 1; b < row.size(); ++b)
-    if (activeOmegas_[row[b]] > 1.0) return true;
+    if (activeSpec_.omegas[row[b]] > 1.0) return true;
   return false;
 }
 
@@ -492,8 +493,12 @@ void BranchSiteLikelihood::computeClassLikelihoods(const MixtureSpec& spec) {
                "branch (#k)");
   numClasses_ = spec.numClasses();
   numOmegas_ = spec.numOmegas();
-  activeClasses_ = spec.classes;
-  activeOmegas_ = spec.omegas;
+  activeSpec_.omegas = spec.omegas;
+  activeSpec_.classes = spec.classes;
+  activeSpec_.scale = spec.scale;
+  activeSpec_.kappa = spec.kappa;
+  activeSpec_.omegaFree = spec.omegaFree;
+  activeSpec_.proportionJacobian = spec.proportionJacobian;
   classProp_.resize(numClasses_);
   classLik_.resize(numClasses_);
   classScaleLog_.resize(numClasses_);
@@ -581,26 +586,61 @@ double BranchSiteLikelihood::logLikelihoodGradientBranches(
 double BranchSiteLikelihood::logLikelihoodGradientBranches(
     const MixtureSpec& spec, std::span<double> gradT) {
   computeClassLikelihoods(spec);
-  return gradientBranchesFromState(gradT);
+  return gradientFromState(gradT, nullptr);
 }
 
 double BranchSiteLikelihood::gradientBranchesAtLastEvaluation(
     std::span<double> gradT) {
   SLIM_REQUIRE(numClasses_ > 0,
                "gradientBranchesAtLastEvaluation: no prior evaluation");
-  return gradientBranchesFromState(gradT);
+  return gradientFromState(gradT, nullptr);
 }
 
-double BranchSiteLikelihood::gradientBranchesFromState(std::span<double> gradT) {
+double BranchSiteLikelihood::logLikelihoodGradient(const MixtureSpec& spec,
+                                                   MixtureGradient& out) {
+  computeClassLikelihoods(spec);
+  out.branch.resize(numBranches());
+  return gradientFromState(out.branch, &out);
+}
+
+double BranchSiteLikelihood::gradientAtLastEvaluation(MixtureGradient& out) {
+  SLIM_REQUIRE(numClasses_ > 0,
+               "gradientAtLastEvaluation: no prior evaluation");
+  out.branch.resize(numBranches());
+  return gradientFromState(out.branch, &out);
+}
+
+double BranchSiteLikelihood::propagatorLength(int node) const {
+  double t = tree_.branchLength(node);
+  if (shard_ && options_.cacheQuantum > 0.0)
+    t = std::round(t / options_.cacheQuantum) * options_.cacheQuantum;
+  return t;
+}
+
+double BranchSiteLikelihood::gradientFromState(std::span<double> gradT,
+                                               MixtureGradient* full) {
   const int numB = numBranches();
   SLIM_REQUIRE(static_cast<int>(gradT.size()) == numB, "gradient size mismatch");
   std::fill(gradT.begin(), gradT.end(), 0.0);
+  const bool substitution = full != nullptr && substitutionGradientAnalytic();
+  if (full) {
+    const double unset =
+        substitution ? 0.0 : std::numeric_limits<double>::quiet_NaN();
+    full->kappa = unset;
+    full->omega.assign(numOmegas_, unset);
+    full->proportion = {0.0, 0.0};
+  }
 
   const double lnL = mixClassLikelihoods(mixMaxScaleLog_, mixMixture_);
   if (!std::isfinite(lnL)) return lnL;  // underflow: gradient undefined
   ++counters_.gradientSweeps;
 
   buildGradientPropagators();
+  model::MixtureDerivatives md;
+  if (full) {
+    md = model::mixtureDerivatives(gc_, pi_, activeSpec_);
+    if (substitution) buildParameterPropagators(md);
+  }
   if (gradWorkspaces_.size() != workspaces_.size())
     gradWorkspaces_.resize(workspaces_.size());
 
@@ -609,20 +649,27 @@ double BranchSiteLikelihood::gradientBranchesFromState(std::span<double> gradT) 
   // contributions into its class's slab — per-pattern values are independent
   // of the block partition, and the reduction below runs in fixed
   // (branch, pattern, class) order — so the gradient, like the likelihood,
-  // is bit-identical for every thread count and block size.
+  // is bit-identical for every thread count and block size.  The kappa /
+  // omega contributions follow the same discipline in their own slab.
   const int numBlocks = (npat_ + blockMax_ - 1) / blockMax_;
   const int numTasks = numClasses_ * numBlocks;
   const std::size_t slabSize = static_cast<std::size_t>(numB) * npat_;
   gradContrib_.assign(static_cast<std::size_t>(numClasses_) * slabSize, 0.0);
   std::vector<double>& contrib = gradContrib_;
+  const int numCoords = substitution ? 1 + numOmegas_ : 0;
+  const std::size_t coordSlab = static_cast<std::size_t>(numCoords) * npat_;
+  gradCoordContrib_.assign(static_cast<std::size_t>(numClasses_) * coordSlab,
+                           0.0);
   const auto runTask = [&](int task, int worker) {
     const int m = task / numBlocks;
     const int b = task % numBlocks;
     const int h0 = b * blockMax_;
-    gradientClassBlock(m, h0, std::min(blockMax_, npat_ - h0), mixMaxScaleLog_,
-                       mixMixture_, gradWorkspaces_[worker],
-                       std::span<double>(contrib.data() + m * slabSize,
-                                         slabSize));
+    gradientClassBlock(
+        m, h0, std::min(blockMax_, npat_ - h0), mixMaxScaleLog_, mixMixture_,
+        gradWorkspaces_[worker],
+        std::span<double>(contrib.data() + m * slabSize, slabSize),
+        std::span<double>(gradCoordContrib_.data() + m * coordSlab,
+                          coordSlab));
   };
   if (pool_) {
     pool_->parallelFor(numTasks, runTask);
@@ -632,18 +679,52 @@ double BranchSiteLikelihood::gradientBranchesFromState(std::span<double> gradT) 
   // Fixed (branch, class, pattern) reduction order: deterministic and
   // partition-independent like the task writes, with the innermost loop
   // running linearly through each slab's contiguous pattern row.
-  for (int k = 0; k < numB; ++k) {
+  const auto reduce = [&](const std::vector<double>& slabs, std::size_t slab,
+                          int row) {
     double g = 0.0;
     for (int m = 0; m < numClasses_; ++m) {
-      const double* row =
-          contrib.data() + m * slabSize + static_cast<std::size_t>(k) * npat_;
-      for (int h = 0; h < npat_; ++h) g += row[h];
+      const double* r =
+          slabs.data() + m * slab + static_cast<std::size_t>(row) * npat_;
+      for (int h = 0; h < npat_; ++h) g += r[h];
     }
-    gradT[k] = g;
-  }
+    return g;
+  };
+  for (int k = 0; k < numB; ++k) gradT[k] = reduce(contrib, slabSize, k);
   for (auto& ws : gradWorkspaces_) {
     counters_.patternPropagations += ws.patternPropagations;
     ws.patternPropagations = 0;
+  }
+  if (!full) return lnL;
+
+  // Scaling Q by 1/scale is scaling every branch by 1/scale, so
+  // d lnL / d scale = -(1/scale) sum_k t_k d lnL / d t_k.
+  double tg = 0.0;
+  for (int k = 0; k < numB; ++k)
+    tg += propagatorLength(branchNodes_[k]) * gradT[k];
+  const double dScale = -tg / activeSpec_.scale;
+
+  if (substitution) {
+    full->kappa = reduce(gradCoordContrib_, coordSlab, 0) +
+                  dScale * md.dScaleDKappa;
+    for (int k = 0; k < numOmegas_; ++k)
+      if (omegaSlotFree(k))
+        full->omega[k] = reduce(gradCoordContrib_, coordSlab, 1 + k) +
+                         dScale * md.dScaleDOmega[k];
+  }
+
+  // Proportions: d lnL / d prop_m = sum_h w_h L_m(h) / L(h) at fixed scale,
+  // plus the scale chain (d scale / d prop_m = the class's background rate).
+  if (!activeSpec_.proportionJacobian.empty()) {
+    for (int m = 0; m < numClasses_; ++m) {
+      double d = 0.0;
+      for (int h = 0; h < npat_; ++h)
+        d += patterns_.weights[h] * classLik_[m][h] *
+             std::exp(classScaleLog_[m][h] - mixMaxScaleLog_[h]) /
+             mixMixture_[h];
+      d += dScale * md.dScaleDProportion[m];
+      for (int j = 0; j < 2; ++j)
+        full->proportion[j] += d * activeSpec_.proportionJacobian[m][j];
+    }
   }
   return lnL;
 }
@@ -651,49 +732,54 @@ double BranchSiteLikelihood::gradientBranchesFromState(std::span<double> gradT) 
 void BranchSiteLikelihood::buildGradientPropagators() {
   const std::size_t propSlots =
       static_cast<std::size_t>(tree_.numNodes()) * numOmegas_;
-  gradProp_.resize(propSlots);
-  gradPropT_.resize(propSlots);
+  gradProp_.assign(propSlots, nullptr);
+  gradPropT_.assign(propSlots, nullptr);
+  if (gradPropOwned_.size() < propSlots) gradPropOwned_.resize(propSlots);
+  if (gradPropTOwned_.size() < propSlots) gradPropTOwned_.resize(propSlots);
   gradDerivT_.resize(propSlots);
-  std::vector<char> built(propSlots, 0);
   Matrix dp(n_, n_);
   const bool adaptive = options_.expm == backend::ExpmAlgorithm::Adaptive;
   for (int node : branchNodes_) {
     const int branchClass = tree_.node(node).mark;
     for (int m = 0; m < numClasses_; ++m) {
-      const auto& cls = activeClasses_[m];
+      const auto& cls = activeSpec_.classes[m];
       const int omegaIdx = cls.omegaFor(branchClass);
       const std::size_t slot = propIndex(node, omegaIdx);
-      if (built[slot]) continue;
-      built[slot] = 1;
+      if (gradPropT_[slot]) continue;
       const int eigenIdx = omegaToEigen_[omegaIdx];
-      double t = tree_.branchLength(node);
       // Differentiate at the same (possibly quantized) length the evaluation
       // propagated with, so gradient and objective describe one function.
-      if (shard_ && options_.cacheQuantum > 0.0)
-        t = std::round(t / options_.cacheQuantum) * options_.cacheQuantum;
-      Matrix& p = gradProp_[slot];
-      Matrix& pT = gradPropT_[slot];
-      if (p.rows() != static_cast<std::size_t>(n_)) p.resize(n_, n_);
-      if (pT.rows() != static_cast<std::size_t>(n_)) pT.resize(n_, n_);
+      const double t = propagatorLength(node);
       // The evaluation's propagator table (still addressable — the gradient
       // runs on the retained state of the last evaluation) already holds P^T
-      // under BundledGemm and P under PerSiteGemv; the symmetric / factored
-      // strategies store M / Yhat, so reconstruct P for those.
+      // under BundledGemm and P under PerSiteGemv: point at it and build
+      // only the other orientation.  The symmetric / factored strategies
+      // store M / Yhat, so reconstruct P for those.
       const Matrix* stored = slot < propPtr_.size() ? propPtr_[slot] : nullptr;
+      Matrix& p = gradPropOwned_[slot];
+      Matrix& pT = gradPropTOwned_[slot];
       if (stored && options_.propagation == PropagationStrategy::BundledGemm) {
-        pT = *stored;
-        linalg::transposeInto(pT, p);
+        if (p.rows() != static_cast<std::size_t>(n_)) p.resize(n_, n_);
+        linalg::transposeInto(*stored, p);
+        gradProp_[slot] = &p;
+        gradPropT_[slot] = stored;
       } else if (stored &&
                  options_.propagation == PropagationStrategy::PerSiteGemv) {
-        p = *stored;
-        linalg::transposeInto(p, pT);
+        if (pT.rows() != static_cast<std::size_t>(n_)) pT.resize(n_, n_);
+        linalg::transposeInto(*stored, pT);
+        gradProp_[slot] = stored;
+        gradPropT_[slot] = &pT;
       } else {
+        if (p.rows() != static_cast<std::size_t>(n_)) p.resize(n_, n_);
+        if (pT.rows() != static_cast<std::size_t>(n_)) pT.resize(n_, n_);
         if (adaptive)
           adaptiveTransition(eigenIdx, t, p);
         else
           dispatchedTransition(eigenSystems_[eigenIdx], t, p);
         linalg::transposeInto(p, pT);
         ++counters_.propagatorBuilds;
+        gradProp_[slot] = &p;
+        gradPropT_[slot] = &pT;
       }
       Matrix& dT = gradDerivT_[slot];
       if (dT.rows() != static_cast<std::size_t>(n_)) dT.resize(n_, n_);
@@ -701,7 +787,8 @@ void BranchSiteLikelihood::buildGradientPropagators() {
         // dP/dt = Q e^{Qt} = Q P exactly (Q and e^{Qt} commute); derivatives
         // legitimately carry negative entries, so no clamp — matching the
         // eigen path's derivativeMatrix policy.
-        dispatchedGemm(rateMatrices_[eigenIdx].view(), p.view(), dp.view());
+        dispatchedGemm(rateMatrices_[eigenIdx].view(), gradProp_[slot]->view(),
+                       dp.view());
       } else {
         dispatchedDerivative(eigenSystems_[eigenIdx], t, dp);
       }
@@ -711,10 +798,113 @@ void BranchSiteLikelihood::buildGradientPropagators() {
   }
 }
 
+void BranchSiteLikelihood::buildParameterPropagators(
+    const model::MixtureDerivatives& md) {
+  const int numEigen = static_cast<int>(eigenSystems_.size());
+  const std::size_t n = static_cast<std::size_t>(n_);
+  // Which (eigen system, theta) pairs some active class differentiates:
+  // kappa moves every slot, omega only the free ones.  Slots sharing an
+  // eigen system share its omega value and so every derivative table.
+  std::vector<int> sourceSlot(2 * numEigen, -1);
+  for (int k = 0; k < numOmegas_; ++k) {
+    const int e = omegaToEigen_[k];
+    if (sourceSlot[2 * e] < 0) sourceSlot[2 * e] = k;
+    if (omegaSlotFree(k) && sourceSlot[2 * e + 1] < 0)
+      sourceSlot[2 * e + 1] = k;
+  }
+
+  // G_theta = U^T dA_theta U, with dA = Pi^{1/2} dS Pi^{1/2} off the
+  // diagonal and the generator's row-sum constraint on it (the same
+  // construction CodonEigenSystem applies to S itself).
+  if (ghat_.size() < sourceSlot.size()) ghat_.resize(sourceSlot.size());
+  Matrix dA(n, n), tmp(n, n), tmpT(n, n);
+  for (std::size_t g = 0; g < sourceSlot.size(); ++g) {
+    if (sourceSlot[g] < 0) continue;
+    const expm::CodonEigenSystem& es = eigenSystems_[g / 2];
+    const Matrix& ds = g % 2 == 0 ? md.dScaledSdKappa[sourceSlot[g]]
+                                  : md.dScaledSdOmega[sourceSlot[g]];
+    const auto sq = es.sqrtPi();
+    for (std::size_t i = 0; i < n; ++i) {
+      double rowRate = 0.0;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i == j) continue;
+        dA(i, j) = sq[i] * ds(i, j) * sq[j];
+        rowRate += ds(i, j) * pi_[j];
+      }
+      dA(i, i) = -rowRate;
+    }
+    const Matrix& u = es.eigenvectors();
+    linalg::gemm(*kern_, dA.view(), u.view(), tmp.view());
+    linalg::transposeInto(tmp, tmpT);  // U^T dA (dA is symmetric)
+    Matrix& gh = ghat_[g];
+    if (gh.rows() != n) gh.resize(n, n);
+    linalg::gemm(*kern_, tmpT.view(), u.view(), gh.view());
+    // Symmetrize away the roundoff, so F o G is exactly symmetric and the
+    // sandwich below yields the exact transpose of dP/dtheta.
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = i + 1; j < n; ++j)
+        gh(i, j) = gh(j, i) = 0.5 * (gh(i, j) + gh(j, i));
+  }
+
+  // Per (branch node, eigen system): the divided differences
+  //   F_ij = (e^{l_i t} - e^{l_j t}) / (l_i - l_j)
+  //        = e^{max(l_i, l_j) t} (1 - e^{-d t}) / d,   d = |l_i - l_j|
+  // (t e^{l t} as d -> 0; expm1 keeps small d exact and the max-exponent
+  // form never overflows), then per theta
+  //   (dP/dtheta)^T = Pi^{1/2} U (F o G_theta) U^T Pi^{-1/2}.
+  const std::size_t tables =
+      2 * static_cast<std::size_t>(tree_.numNodes()) * numOmegas_;
+  if (gradParamT_.size() < tables) gradParamT_.resize(tables);
+  paramBuilt_.assign(tables, 0);
+  for (Matrix* m : {&paramF_, &paramW_, &paramY_})
+    if (m->rows() != n) m->resize(n, n);
+  std::vector<double> expLt(n);
+  for (int node : branchNodes_) {
+    const int branchClass = tree_.node(node).mark;
+    const double t = propagatorLength(node);
+    int fEigen = -1;  // the eigen system paramF_ currently holds F for
+    for (int m = 0; m < numClasses_; ++m) {
+      const int slot = activeSpec_.classes[m].omegaFor(branchClass);
+      const int e = omegaToEigen_[slot];
+      for (int theta = 0; theta < 2; ++theta) {
+        const std::size_t idx = paramIndex(node, e, theta);
+        if (sourceSlot[2 * e + theta] < 0 || paramBuilt_[idx]) continue;
+        paramBuilt_[idx] = 1;
+        const expm::CodonEigenSystem& es = eigenSystems_[e];
+        const auto& lambda = es.eigenvalues();
+        if (fEigen != e) {
+          for (std::size_t i = 0; i < n; ++i)
+            expLt[i] = std::exp(lambda[i] * t);
+          for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = i; j < n; ++j) {
+              const double d = std::fabs(lambda[i] - lambda[j]);
+              const double f =
+                  std::max(expLt[i], expLt[j]) *
+                  (d * t > 0.0 ? -std::expm1(-d * t) / d : t);
+              paramF_(i, j) = paramF_(j, i) = f;
+            }
+          fEigen = e;
+        }
+        const Matrix& gh = ghat_[2 * e + theta];
+        for (std::size_t i = 0; i < paramW_.size(); ++i)
+          paramW_.data()[i] = paramF_.data()[i] * gh.data()[i];
+        const Matrix& u = es.eigenvectors();
+        linalg::gemm(*kern_, u.view(), paramW_.view(), paramY_.view());
+        Matrix& out = gradParamT_[idx];
+        if (out.rows() != n) out.resize(n, n);
+        kern_->gemmNTSandwich(paramY_.data(), u.data(), es.sqrtPi().data(),
+                              es.invSqrtPi().data(), out.data(), n, n, n,
+                              /*clampNegative=*/false);
+        ++counters_.propagatorBuilds;
+      }
+    }
+  }
+}
+
 void BranchSiteLikelihood::gradientClassBlock(
     int m, int h0, int len, std::span<const double> maxScaleLog,
     std::span<const double> mixture, GradientWorkspace& ws,
-    std::span<double> gradOut) {
+    std::span<double> gradOut, std::span<double> coordOut) {
   const int numNodes = tree_.numNodes();
   if (static_cast<int>(ws.down.size()) != numNodes) {
     ws.down.resize(numNodes);
@@ -727,18 +917,40 @@ void BranchSiteLikelihood::gradientClassBlock(
     ws.outside.resize(blockMax_, n_);
     ws.deriv.resize(blockMax_, n_);
   }
+  ws.eHalf.resize(len);
 
   // The gradient sweep's panel products run on the same SIMD dispatch as
   // the likelihood sweep's BundledGemm path.
   const int root = tree_.root();
-  const auto& cls = activeClasses_[m];
+  const auto& cls = activeSpec_.classes[m];
   const auto omegaOf = [&](int node) {
     return cls.omegaFor(tree_.node(node).mark);
   };
-  const auto childPanel = [&](int c) -> ConstMatrixView {
-    return tree_.node(c).isLeaf()
-               ? leafCpv_[c].rowBlock(h0, len)
-               : ConstMatrixView(ws.down[c].rowBlock(0, len));
+  // out = D_c * tableT, D_c the child's conditional panel.  A leaf's
+  // observed rows are one-hot, and the product's row is then exactly row
+  // `state` of tableT (the gemm adds only exact zeros to it).  Its
+  // missing-data rows are all ones, so they share one product row (the
+  // column sums of tableT): that row is multiplied once, into the first
+  // missing row, and copied into the others.
+  const auto childTimes = [&](int c, const Matrix& tableT, MatrixView out) {
+    if (!tree_.node(c).isLeaf()) {
+      dispatchedGemm(ws.down[c].rowBlock(0, len), tableT.view(), out);
+      return;
+    }
+    const std::vector<int>& state = leafState_[c];
+    const double* missingRow = nullptr;
+    for (int h = 0; h < len; ++h) {
+      const int st = state[h0 + h];
+      if (st != seqio::kMissingState) {
+        std::copy_n(tableT.row(st), n_, out.row(h));
+      } else if (missingRow != nullptr) {
+        std::copy_n(missingRow, n_, out.row(h));
+      } else {
+        dispatchedGemm(leafCpv_[c].rowBlock(h0 + h, 1), tableT.view(),
+                       MatrixView(out.row(h), 1, out.cols()));
+        missingRow = out.row(h);
+      }
+    }
   };
 
   // Down (post-order) pass — the likelihood sweep again, but *retaining* per
@@ -767,8 +979,7 @@ void BranchSiteLikelihood::gradientClassBlock(
       if (prodStore.rows() != static_cast<std::size_t>(blockMax_))
         prodStore.resize(blockMax_, n_);
       const MatrixView prod = prodStore.rowBlock(0, len);
-      dispatchedGemm(childPanel(c), gradPropT_[propIndex(c, omegaOf(c))].view(),
-                prod);
+      childTimes(c, *gradPropT_[propIndex(c, omegaOf(c))], prod);
       linalg::hadamardInPlace(ConstMatrixView(prod).span(), d.span());
       for (int h = 0; h < len; ++h) scale[h] += ws.sDown[c][h];
       ws.patternPropagations += len;
@@ -790,8 +1001,9 @@ void BranchSiteLikelihood::gradientClassBlock(
   // Up (pre-order) pass.  The outside panel O_c of the edge above node c
   // satisfies   L_true(h) = sum_ij O_c(h,i) P_c(i,j) D_c(h,j) * e^{s_c + o_c},
   // so the branch derivative only swaps P_c for dP_c/dt in that bilinear
-  // form.  Recursion from the root (O_root = pi): O_c = U_v ⊙ Π_{siblings}
-  // prod, U_c = P_c^T O_c, with scale logs carried alongside.
+  // form (and the kappa / omega derivatives swap in dP_c/dtheta).
+  // Recursion from the root (O_root = pi): O_c = U_v ⊙ Π_{siblings} prod,
+  // U_c = P_c^T O_c, with scale logs carried alongside.
   Matrix& upRoot = ws.up[root];
   if (upRoot.rows() != static_cast<std::size_t>(blockMax_))
     upRoot.resize(blockMax_, n_);
@@ -824,23 +1036,43 @@ void BranchSiteLikelihood::gradientClassBlock(
         for (int h = 0; h < len; ++h) ws.oScale[h] += ws.sDown[s][h];
       }
 
-      const std::size_t slot = propIndex(c, omegaOf(c));
+      // exp() applied in two halves: a rescale deep in the tree can push
+      // the scale restoration near the overflow edge before the (tiny)
+      // bilinear form damps it, and the split keeps each factor finite.
+      for (int h = 0; h < len; ++h)
+        ws.eHalf[h] = std::exp(
+            0.5 * (ws.sDown[c][h] + ws.oScale[h] - maxScaleLog[h0 + h]));
+      const auto contribution = [&](double dval, int h) {
+        return patterns_.weights[h0 + h] * classProp_[m] *
+               ((dval * ws.eHalf[h]) * ws.eHalf[h]) / mixture[h0 + h];
+      };
       const MatrixView deriv = ws.deriv.rowBlock(0, len);
-      dispatchedGemm(childPanel(c), gradDerivT_[slot].view(), deriv);
-      ws.patternPropagations += len;
+      // deriv = D_c * table^T; hands each pattern's bilinear form to fn.
+      const auto contract = [&](const Matrix& tableT, auto&& fn) {
+        childTimes(c, tableT, deriv);
+        ws.patternPropagations += len;
+        for (int h = 0; h < len; ++h) {
+          const double dval = linalg::dot(o.rowSpan(h), deriv.rowSpan(h));
+          if (dval != 0.0) fn(h, contribution(dval, h));
+        }
+      };
 
-      const int k = nodeToBranch_[c];
-      for (int h = 0; h < len; ++h) {
-        const double dval = linalg::dot(o.rowSpan(h), deriv.rowSpan(h));
-        if (dval == 0.0) continue;
-        // exp() applied in two halves: a rescale deep in the tree can push
-        // the scale restoration near the overflow edge before the (tiny)
-        // bilinear form damps it, and the split keeps each factor finite.
-        const double eHalf =
-            std::exp(0.5 * (ws.sDown[c][h] + ws.oScale[h] - maxScaleLog[h0 + h]));
-        gradOut[static_cast<std::size_t>(k) * npat_ + h0 + h] =
-            patterns_.weights[h0 + h] * classProp_[m] *
-            ((dval * eHalf) * eHalf) / mixture[h0 + h];
+      const int slot = omegaOf(c);
+      const std::size_t pslot = propIndex(c, slot);
+      const std::size_t k = static_cast<std::size_t>(nodeToBranch_[c]);
+      contract(gradDerivT_[pslot], [&](int h, double v) {
+        gradOut[k * npat_ + h0 + h] = v;
+      });
+      if (!coordOut.empty()) {
+        const int e = omegaToEigen_[slot];
+        contract(gradParamT_[paramIndex(c, e, 0)],
+                 [&](int h, double v) { coordOut[h0 + h] += v; });
+        if (omegaSlotFree(slot)) {
+          double* row =
+              coordOut.data() + static_cast<std::size_t>(1 + slot) * npat_;
+          contract(gradParamT_[paramIndex(c, e, 1)],
+                   [&](int h, double v) { row[h0 + h] += v; });
+        }
       }
 
       if (!tree_.node(c).isLeaf()) {
@@ -848,7 +1080,7 @@ void BranchSiteLikelihood::gradientClassBlock(
         if (upC.rows() != static_cast<std::size_t>(blockMax_))
           upC.resize(blockMax_, n_);
         const MatrixView uc = upC.rowBlock(0, len);
-        dispatchedGemm(ConstMatrixView(o), gradProp_[slot].view(), uc);
+        dispatchedGemm(ConstMatrixView(o), gradProp_[pslot]->view(), uc);
         ws.patternPropagations += len;
         auto& us = ws.uScale[c];
         us.assign(len, 0.0);

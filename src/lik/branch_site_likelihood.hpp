@@ -20,7 +20,9 @@
 // (kernel flavor, reconstruction path, propagation strategy), so measured
 // speedups isolate exactly the optimizations the paper describes.
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -45,8 +47,8 @@ struct EvalCounters {
   std::int64_t eigenDecompositions = 0;   ///< symmetric eigenproblems solved
   std::int64_t propagatorBuilds = 0;      ///< P(t) / dP(t) / M / Yhat constructions
   std::int64_t patternPropagations = 0;   ///< branch x class x pattern ops
-  /// Analytic branch-gradient sweeps (logLikelihoodGradientBranches calls);
-  /// each replaces numBranches finite-difference evaluations.
+  /// Analytic gradient sweeps (branch-only or full); each replaces the
+  /// finite-difference evaluations of the coordinates it differentiates.
   std::int64_t gradientSweeps = 0;
   /// Persistent propagator-cache traffic (only counted when
   /// LikelihoodOptions::cachePropagators is on).
@@ -73,6 +75,23 @@ inline EvalCounters operator+(EvalCounters a, const EvalCounters& b) noexcept {
   a += b;
   return a;
 }
+
+/// ln L's derivatives with respect to everything a model::MixtureSpec is
+/// built from.  Every entry is a total derivative: the spec's common scale
+/// moves with kappa, the omegas and the proportions, and that chain is
+/// included.
+struct MixtureGradient {
+  std::vector<double> branch;  ///< d lnL / d t_k, in branchNodes() order.
+  /// d lnL / d kappa.  NaN under expm = adaptive, which has no
+  /// eigensystem to differentiate through; callers finite-difference kappa
+  /// and the omegas there.
+  double kappa = std::numeric_limits<double>::quiet_NaN();
+  /// Per omega slot: d lnL / d omega_k for the spec's free slots, 0 for
+  /// fixed ones (NaN for all under expm = adaptive, as kappa).
+  std::vector<double> omega;
+  /// d lnL / d (p0, p1) through the spec's proportion Jacobian.
+  std::array<double, 2> proportion{};
+};
 
 /// Per-site (pattern) posterior probabilities of the site classes given the
 /// data — the "(Naive) Empirical Bayes" output used to identify sites under
@@ -143,6 +162,30 @@ class BranchSiteLikelihood {
   /// optimizer adapter uses this because BFGS always differentiates at the
   /// point the line search just evaluated.
   double gradientBranchesAtLastEvaluation(std::span<double> gradT);
+
+  // --- full analytic gradient ---
+  /// ln L plus its derivative with respect to every branch length, kappa,
+  /// each free omega slot and the proportion parameters, from the same
+  /// sweep as logLikelihoodGradientBranches.  kappa and omega enter through
+  ///   dP/dtheta = Pi^{-1/2} U (F o G_theta) U^T Pi^{1/2},
+  /// where G_theta is d(scaledS)/dtheta in the eigenbasis U and
+  /// F_ij = (e^{l_i t} - e^{l_j t}) / (l_i - l_j) (t e^{l t} when equal);
+  /// one table per (branch, omega, theta), contracted with the panels the
+  /// branch gradient already forms.  The proportions need no sweep: their
+  /// direct term comes from the retained class likelihoods, and the common
+  /// scale enters as d lnL / d scale = -(1/scale) sum_k t_k d lnL / d t_k.
+  /// Bit-identical for every thread count and block size.  Returns
+  /// -infinity (out zeroed) if a site likelihood underflows.
+  double logLikelihoodGradient(const model::MixtureSpec& spec,
+                               MixtureGradient& out);
+  /// The full gradient at the retained state of the preceding evaluation
+  /// (the contract of gradientBranchesAtLastEvaluation).
+  double gradientAtLastEvaluation(MixtureGradient& out);
+  /// Whether logLikelihoodGradient fills kappa and omega (false under
+  /// expm = adaptive).
+  bool substitutionGradientAnalytic() const noexcept {
+    return options_.expm != backend::ExpmAlgorithm::Adaptive;
+  }
 
   // --- branch-length state ---
   /// Non-root nodes in post-order; branch k of the optimization vector is
@@ -215,6 +258,7 @@ class BranchSiteLikelihood {
     linalg::Matrix outside;             // one child's outside panel (scratch)
     std::vector<double> oScale;         // its scale log (scratch)
     linalg::Matrix deriv;               // dP * child CPV (scratch)
+    std::vector<double> eHalf;          // per-pattern scale restoration
     std::int64_t patternPropagations = 0;
   };
 
@@ -233,21 +277,41 @@ class BranchSiteLikelihood {
   bool classUnderPositiveSelection(int m) const noexcept;
 
   // The shared gradient pass over the retained class state (the tail of
-  // logLikelihoodGradientBranches / gradientBranchesAtLastEvaluation).
-  double gradientBranchesFromState(std::span<double> gradT);
+  // every gradient entry point).  full == nullptr: branch lengths only.
+  double gradientFromState(std::span<double> gradT, MixtureGradient* full);
 
-  // Build the (P, P^T, dP^T) triple for every (branch node, omega) the
-  // active classes reference, reusing the propagators the evaluation cached
-  // where their stored layout permits.
+  // Point (P, P^T) at the propagators the evaluation stored where their
+  // layout permits (building the missing orientation), and build dP^T for
+  // every (branch node, omega) the active classes reference.
   void buildGradientPropagators();
+
+  // Build (dP/dkappa)^T and (dP/domega)^T for every (branch node, eigen
+  // system) the active classes reference, from the model's derivatives.
+  void buildParameterPropagators(const model::MixtureDerivatives& md);
+
+  // The branch length the evaluation propagated node's edge with (quantized
+  // like the propagator-cache key), so derivatives describe that function.
+  double propagatorLength(int node) const;
+
+  bool omegaSlotFree(int slot) const noexcept {
+    return !activeSpec_.omegaFree.empty() && activeSpec_.omegaFree[slot] != 0;
+  }
+
+  std::size_t paramIndex(int node, int eigenIdx, int theta) const noexcept {
+    return 2 * propIndex(node, eigenIdx) + theta;
+  }
 
   // Down + up sweep for site class m over patterns [h0, h0 + len), writing
   // each branch's per-pattern gradient contribution into the class slab
   // gradOut (numBranches x numPatterns, branch-major) at [k * npat + h].
+  // A non-empty coordOut ((1 + numOmegas) x numPatterns: kappa, then one
+  // row per omega slot) accumulates the kappa / free-omega contributions
+  // over the branches in traversal order.
   void gradientClassBlock(int m, int h0, int len,
                           std::span<const double> maxScaleLog,
                           std::span<const double> mixture,
-                          GradientWorkspace& ws, std::span<double> gradOut);
+                          GradientWorkspace& ws, std::span<double> gradOut,
+                          std::span<double> coordOut);
 
   // (Re)build eigenSystems_ / omegaToEigen_ for the spec, reusing them — and
   // keeping the propagator cache — when the spec is unchanged since the last
@@ -333,17 +397,22 @@ class BranchSiteLikelihood {
 
   // Leaf CPVs (pattern-major: row h is the length-n CPV of pattern h).
   std::vector<linalg::Matrix> leafCpv_;   // indexed by node id (leaves only)
+  // Per leaf and pattern: the observed codon state, or kMissingState where
+  // the leaf CPV row is all ones.  A one-hot CPV row times P^T is exactly
+  // row `state` of P^T, and every all-ones row gives the same product, so
+  // the gradient sweep copies rows instead of running the panel product.
+  std::vector<std::vector<int>> leafState_;
 
   // Parallel sweep machinery.
   std::unique_ptr<support::ThreadPool> pool_;   // null: single-threaded
   std::vector<PruneWorkspace> workspaces_;      // one per worker
   std::vector<GradientWorkspace> gradWorkspaces_;  // lazily sized on first use
 
-  // Per-evaluation state, set from the active MixtureSpec.
+  // Per-evaluation state, set from the active MixtureSpec.  activeSpec_
+  // holds everything of the spec but its scaledS matrices.
   int numClasses_ = 0;
   int numOmegas_ = 0;
-  std::vector<model::MixtureClass> activeClasses_;
-  std::vector<double> activeOmegas_;
+  model::MixtureSpec activeSpec_;
   std::vector<expm::CodonEigenSystem> eigenSystems_;  // per distinct omega
   // Adaptive-expm mode stores the rate matrices instead (same distinct-omega
   // grouping, indexed by omegaToEigen_; eigenSystems_ stays empty — no
@@ -360,13 +429,27 @@ class BranchSiteLikelihood {
   // Gradient-sweep propagator tables, (node x omega)-indexed like propPtr_
   // and rebuilt per gradient call (branch lengths move every iteration):
   // P for the outside recursion, P^T and dP^T for the row-major panel gemms.
-  std::vector<linalg::Matrix> gradProp_;    // P
-  std::vector<linalg::Matrix> gradPropT_;   // P^T
+  // P and P^T point at the evaluation's stored propagator where it has that
+  // layout; the other orientation is built into the owned tables.
+  std::vector<const linalg::Matrix*> gradProp_;   // P
+  std::vector<const linalg::Matrix*> gradPropT_;  // P^T
+  std::vector<linalg::Matrix> gradPropOwned_;     // P built here
+  std::vector<linalg::Matrix> gradPropTOwned_;    // P^T built here
   std::vector<linalg::Matrix> gradDerivT_;  // (dP/dt)^T
+  // Full-gradient tables: per eigen system, G_theta = U^T dA_theta U
+  // (theta 0 = kappa, 1 = omega), and per (node, eigen system, theta) the
+  // transposed derivative (dP/dtheta)^T (paramIndex order).
+  std::vector<linalg::Matrix> ghat_;
+  std::vector<linalg::Matrix> gradParamT_;
+  std::vector<char> paramBuilt_;
+  linalg::Matrix paramF_, paramW_, paramY_;  // table-build scratch
   std::vector<int> nodeToBranch_;  // node id -> branch index k (or -1)
   // Per-(class, branch, pattern) contribution slabs, persistent so the
-  // per-sweep hot path only zero-fills (capacity is kept across calls).
+  // per-sweep hot path only zero-fills (capacity is kept across calls);
+  // gradCoordContrib_ is the (class, coordinate, pattern) counterpart for
+  // kappa and the omega slots.
   std::vector<double> gradContrib_;
+  std::vector<double> gradCoordContrib_;
 
   // Persistent propagator store (cachePropagators mode; else null).  May be
   // shared across sequential evaluators via the constructor's shard param.

@@ -28,6 +28,24 @@ std::array<double, kNumSiteClasses> siteClassProportions(double p0, double p1) {
   return {p0, p1, rest * p0 / denom, rest * p1 / denom};
 }
 
+std::array<std::array<double, 2>, kNumSiteClasses> siteClassProportionJacobian(
+    double p0, double p1) {
+  SLIM_REQUIRE(p0 > 0 && p1 > 0 && p0 + p1 < 1,
+               "site class proportions: need p0, p1 > 0 and p0 + p1 < 1");
+  // p2a = r a0 and p2b = r a1 with r = 1 - p0 - p1, s = p0 + p1 and the
+  // shares a_i = p_i / s.  r a_i / s is formed as (r a_i) / s, never through
+  // s * s: fits can drive p0 and p1 towards 0 together (s ~ 1e-157 has been
+  // seen), where s * s underflows and the Jacobian would become inf - inf.
+  const double r = 1.0 - p0 - p1;
+  const double s = p0 + p1;
+  const double a0 = p0 / s, a1 = p1 / s;
+  const double ra0s = r * a0 / s, ra1s = r * a1 / s;
+  return {{{1.0, 0.0},
+           {0.0, 1.0},
+           {-a0 + ra1s, -a0 - ra0s},
+           {-a1 - ra1s, -a1 + ra0s}}};
+}
+
 Matrix BranchSiteQSet::rateMatrix(int omegaIndex,
                                   std::span<const double> pi) const {
   SLIM_REQUIRE(omegaIndex >= 0 && omegaIndex < kNumOmegaClasses,

@@ -53,6 +53,10 @@ struct BranchSiteParams {
 /// Table I proportions (p0, p1, p2a, p2b); they sum to 1.
 std::array<double, kNumSiteClasses> siteClassProportions(double p0, double p1);
 
+/// d(p0, p1, p2a, p2b) / d(p0, p1): row m is class m's derivative pair.
+std::array<std::array<double, 2>, kNumSiteClasses> siteClassProportionJacobian(
+    double p0, double p1);
+
 /// Which distinct omega applies to a (site class, branch type) pair.
 /// Encodes the Background/Foreground columns of Table I.
 constexpr int omegaIndexFor(int siteClass, bool foreground) noexcept {

@@ -10,24 +10,29 @@ using bio::GeneticCode;
 using linalg::Matrix;
 
 void buildExchangeability(const GeneticCode& gc, double kappa, double omega,
-                          Matrix& s) {
+                          Matrix& s, Matrix* dKappa, Matrix* dOmega) {
   SLIM_REQUIRE(kappa > 0, "kappa must be positive");
   SLIM_REQUIRE(omega >= 0, "omega must be non-negative");
-  const int n = gc.numSense();
-  SLIM_REQUIRE(s.rows() == static_cast<std::size_t>(n) && s.square(),
+  const auto n = static_cast<std::size_t>(gc.numSense());
+  const auto shaped = [n](const Matrix* m) {
+    return m == nullptr || (m->rows() == n && m->square());
+  };
+  SLIM_REQUIRE(shaped(&s) && shaped(dKappa) && shaped(dOmega),
                "exchangeability matrix has wrong shape");
   s.fill(0.0);
-  for (int i = 0; i < n; ++i) {
-    const int ci = gc.codonOfSense(i);
-    for (int j = i + 1; j < n; ++j) {
-      const int cj = gc.codonOfSense(j);
+  if (dKappa) dKappa->fill(0.0);
+  if (dOmega) dOmega->fill(0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const int ci = gc.codonOfSense(static_cast<int>(i));
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const int cj = gc.codonOfSense(static_cast<int>(j));
       const auto cls = bio::classifyCodonPair(gc, ci, cj);
       if (cls.ndiff != 1) continue;
-      double v = 1.0;
-      if (cls.transition) v *= kappa;
-      if (!cls.synonymous) v *= omega;
-      s(i, j) = v;
-      s(j, i) = v;
+      const double k = cls.transition ? kappa : 1.0;
+      const double w = cls.synonymous ? 1.0 : omega;
+      s(i, j) = s(j, i) = k * w;
+      if (dKappa && cls.transition) (*dKappa)(i, j) = (*dKappa)(j, i) = w;
+      if (dOmega && !cls.synonymous) (*dOmega)(i, j) = (*dOmega)(j, i) = k;
     }
   }
 }

@@ -22,8 +22,14 @@ namespace slim::model {
 /// Fill the symmetric exchangeability matrix S(kappa, omega) over the sense
 /// codons of gc: s_ij = kappa^[transition] * omega^[non-synonymous] for
 /// single-nucleotide-difference pairs, 0 otherwise (including the diagonal).
+/// Non-null dKappa / dOmega receive the elementwise derivatives dS/dkappa /
+/// dS/domega from the same pass: each s_ij is a monomial, so a derivative
+/// entry is the *other* factor on the pairs where the parameter appears, 0
+/// elsewhere.
 void buildExchangeability(const bio::GeneticCode& gc, double kappa,
-                          double omega, linalg::Matrix& s);
+                          double omega, linalg::Matrix& s,
+                          linalg::Matrix* dKappa = nullptr,
+                          linalg::Matrix* dOmega = nullptr);
 
 /// Build the instantaneous rate matrix Q = S Pi with the diagonal set to
 /// minus the row sums, and return the expected substitution rate

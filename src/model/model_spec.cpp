@@ -127,10 +127,13 @@ MixtureSpec buildCladeCSpec(const bio::GeneticCode& gc,
   std::vector<int> divergentRow(divergentOmegas.size());
   for (std::size_t b = 0; b < divergentRow.size(); ++b)
     divergentRow[b] = static_cast<int>(2 + b);
-  return buildMixtureSpec(
+  MixtureSpec spec = buildMixtureSpec(
       gc, pi, kappa, std::move(omegas),
       {MixtureClass(p0, 0, 0), MixtureClass(p1, 1, 1),
        MixtureClass(1.0 - p0 - p1, std::move(divergentRow))});
+  spec.omegaFree[1] = 0;  // the neutral class's omega = 1
+  spec.proportionJacobian = {{1.0, 0.0}, {0.0, 1.0}, {-1.0, -1.0}};
+  return spec;
 }
 
 }  // namespace slim::model

@@ -27,6 +27,11 @@ void MixtureSpec::validate(int numSense) const {
   SLIM_REQUIRE(std::fabs(total - 1.0) < 1e-9,
                "class proportions must sum to 1");
   SLIM_REQUIRE(scale > 0, "scale must be positive");
+  SLIM_REQUIRE(omegaFree.empty() || omegaFree.size() == omegas.size(),
+               "omegaFree must have one entry per omega slot");
+  SLIM_REQUIRE(proportionJacobian.empty() ||
+                   proportionJacobian.size() == classes.size(),
+               "proportionJacobian must have one row per class");
 }
 
 bool MixtureSpec::branchHomogeneous() const noexcept {
@@ -63,9 +68,50 @@ MixtureSpec buildMixtureSpec(const bio::GeneticCode& gc,
   spec.scale = scale;
   for (auto& s : spec.scaledS)
     for (std::size_t i = 0; i < s.size(); ++i) s.data()[i] /= scale;
+  spec.kappa = kappa;
+  spec.omegaFree.assign(spec.omegas.size(), 1);
+  spec.proportionJacobian.assign(spec.classes.size(), {0.0, 0.0});
 
   spec.validate(n);
   return spec;
+}
+
+MixtureDerivatives mixtureDerivatives(const bio::GeneticCode& gc,
+                                      std::span<const double> pi,
+                                      const MixtureSpec& spec) {
+  const int n = gc.numSense();
+  const std::size_t slots = spec.omegas.size();
+  SLIM_REQUIRE(spec.kappa > 0, "mixture derivatives need the spec's kappa");
+  MixtureDerivatives d;
+  d.dScaledSdKappa.assign(slots, Matrix(n, n));
+  d.dScaledSdOmega.resize(slots);
+  d.dScaleDOmega.assign(slots, 0.0);
+  std::vector<double> rate(slots), rateDKappa(slots), rateDOmega(slots, 0.0);
+  Matrix s(n, n), q(n, n);
+  for (std::size_t k = 0; k < slots; ++k) {
+    Matrix& dk = d.dScaledSdKappa[k];
+    Matrix* dw = nullptr;
+    if (!spec.omegaFree.empty() && spec.omegaFree[k]) {
+      dw = &d.dScaledSdOmega[k];
+      dw->resize(n, n);
+    }
+    buildExchangeability(gc, spec.kappa, spec.omegas[k], s, &dk, dw);
+    // The expected rate is linear in S, so buildRateMatrix of a derivative
+    // matrix is the derivative of the rate.
+    rate[k] = buildRateMatrix(s, pi, q);
+    rateDKappa[k] = buildRateMatrix(dk, pi, q);
+    for (std::size_t i = 0; i < dk.size(); ++i) dk.data()[i] /= spec.scale;
+    if (!dw) continue;
+    rateDOmega[k] = buildRateMatrix(*dw, pi, q);
+    for (std::size_t i = 0; i < dw->size(); ++i) dw->data()[i] /= spec.scale;
+  }
+  for (const auto& c : spec.classes) {
+    const int bg = c.omegaBackground();
+    d.dScaleDKappa += c.proportion * rateDKappa[bg];
+    d.dScaleDOmega[bg] += c.proportion * rateDOmega[bg];
+    d.dScaleDProportion.push_back(rate[bg]);
+  }
+  return d;
 }
 
 MixtureSpec buildModelASpec(const bio::GeneticCode& gc,
@@ -78,8 +124,13 @@ MixtureSpec buildModelASpec(const bio::GeneticCode& gc,
   std::vector<MixtureClass> classes(kNumSiteClasses);
   for (int m = 0; m < kNumSiteClasses; ++m)
     classes[m] = {prop[m], table.omegaSlotFor(m, 0), table.omegaSlotFor(m, 1)};
-  return buildMixtureSpec(gc, pi, params.kappa,
-                          {omegas.begin(), omegas.end()}, std::move(classes));
+  MixtureSpec spec = buildMixtureSpec(gc, pi, params.kappa,
+                                      {omegas.begin(), omegas.end()},
+                                      std::move(classes));
+  spec.omegaFree = {1, 0, h == Hypothesis::H1 ? char{1} : char{0}};
+  const auto jac = siteClassProportionJacobian(params.p0, params.p1);
+  spec.proportionJacobian.assign(jac.begin(), jac.end());
+  return spec;
 }
 
 MixtureSpec buildM1aSpec(const bio::GeneticCode& gc,
@@ -89,8 +140,12 @@ MixtureSpec buildM1aSpec(const bio::GeneticCode& gc,
   SLIM_REQUIRE(params.omega0 > 0 && params.omega0 < 1,
                "omega0 must be in (0,1)");
   SLIM_REQUIRE(params.p0 > 0 && params.p0 < 1, "p0 must be in (0,1)");
-  return buildMixtureSpec(gc, pi, params.kappa, {params.omega0, 1.0},
-                          {{params.p0, 0, 0}, {1.0 - params.p0, 1, 1}});
+  MixtureSpec spec =
+      buildMixtureSpec(gc, pi, params.kappa, {params.omega0, 1.0},
+                       {{params.p0, 0, 0}, {1.0 - params.p0, 1, 1}});
+  spec.omegaFree = {1, 0};
+  spec.proportionJacobian = {{1.0, 0.0}, {-1.0, 0.0}};
+  return spec;
 }
 
 MixtureSpec buildM2aSpec(const bio::GeneticCode& gc,
@@ -102,11 +157,14 @@ MixtureSpec buildM2aSpec(const bio::GeneticCode& gc,
   SLIM_REQUIRE(params.omega2 >= 1, "omega2 must be >= 1");
   SLIM_REQUIRE(params.p0 > 0 && params.p1 > 0 && params.p0 + params.p1 < 1,
                "need p0, p1 > 0 and p0 + p1 < 1");
-  return buildMixtureSpec(
+  MixtureSpec spec = buildMixtureSpec(
       gc, pi, params.kappa, {params.omega0, 1.0, params.omega2},
       {{params.p0, 0, 0},
        {params.p1, 1, 1},
        {1.0 - params.p0 - params.p1, 2, 2}});
+  spec.omegaFree = {1, 0, 1};
+  spec.proportionJacobian = {{1.0, 0.0}, {0.0, 1.0}, {-1.0, -1.0}};
+  return spec;
 }
 
 }  // namespace slim::model

@@ -18,6 +18,7 @@
 // selection (Yang et al. 2005), complementing the branch-site test.
 // Branch and clade model C builders live in model/model_spec.hpp.
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -64,6 +65,15 @@ struct MixtureSpec {
   std::vector<linalg::Matrix> scaledS;   ///< S(kappa, omega_k) / scale.
   std::vector<MixtureClass> classes;
   double scale = 1.0;
+  double kappa = 0;  ///< The kappa scaledS was built with.
+  /// Per omega slot: 1 when its value is a free parameter of the model
+  /// (the analytic gradient differentiates it), 0 when fixed (omega = 1
+  /// slots, model A's omega2 under H0).  Builders fill it; empty = none.
+  std::vector<char> omegaFree;
+  /// Per class: d proportion / d (p0, p1), the mixture parameters the
+  /// builder derived the proportions from (zeros when it has none; M1a
+  /// uses only the p0 column).  Empty = none.
+  std::vector<std::array<double, 2>> proportionJacobian;
 
   int numClasses() const noexcept { return static_cast<int>(classes.size()); }
   int numOmegas() const noexcept { return static_cast<int>(omegas.size()); }
@@ -78,11 +88,37 @@ struct MixtureSpec {
 
 /// Common scaling convention: one factor normalizing the proportion-weighted
 /// mean *background* substitution rate to 1 (branch lengths = expected
-/// substitutions per codon averaged over classes).
+/// substitutions per codon averaged over classes).  Every omega slot is
+/// marked free and the proportion Jacobian is zero; the model builders
+/// below overwrite both with what their parameters actually are.
 MixtureSpec buildMixtureSpec(const bio::GeneticCode& gc,
                              std::span<const double> pi, double kappa,
                              std::vector<double> omegas,
                              std::vector<MixtureClass> classes);
+
+/// The model-side factors of the analytic gradient: how the spec's numbers
+/// move with its free inputs kappa, omega_k and the class proportions.
+/// scaledS_k = S(kappa, omega_k) / scale with scale = sum_c proportion_c *
+/// rate(background omega of c), so every input reaches ln L twice: through
+/// its own exchangeabilities (scale held fixed) and through the common
+/// scale.
+struct MixtureDerivatives {
+  /// Per omega slot: d scaledS_k / d kappa at fixed scale.
+  std::vector<linalg::Matrix> dScaledSdKappa;
+  /// Per omega slot: d scaledS_k / d omega_k at fixed scale (empty matrix
+  /// for a fixed slot).
+  std::vector<linalg::Matrix> dScaledSdOmega;
+  double dScaleDKappa = 0;
+  std::vector<double> dScaleDOmega;       ///< Per omega slot.
+  std::vector<double> dScaleDProportion;  ///< Per class: its background rate.
+};
+
+/// Derivatives of spec (built by buildMixtureSpec or one of the model
+/// builders) with respect to kappa, its free omega slots and its class
+/// proportions.
+MixtureDerivatives mixtureDerivatives(const bio::GeneticCode& gc,
+                                      std::span<const double> pi,
+                                      const MixtureSpec& spec);
 
 /// Model A of Table I as a MixtureSpec (equivalent to buildBranchSiteQSet +
 /// siteClassProportions; used by the generic evaluator path).

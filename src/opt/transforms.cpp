@@ -70,6 +70,14 @@ std::pair<double, double> simplex2ToExternal(double u, double v) noexcept {
   return {eu / denom, ev / denom};
 }
 
+std::pair<double, double> simplex2Gradient(double u, double v, double dfDp0,
+                                           double dfDp1) noexcept {
+  // dp0/du = p0 (1 - p0), dp0/dv = dp1/du = -p0 p1, dp1/dv = p1 (1 - p1).
+  const auto [p0, p1] = simplex2ToExternal(u, v);
+  return {p0 * ((1.0 - p0) * dfDp0 - p1 * dfDp1),
+          p1 * ((1.0 - p1) * dfDp1 - p0 * dfDp0)};
+}
+
 std::pair<double, double> simplex2ToInternal(double p0, double p1) noexcept {
   p0 = clampFinite(p0, kTiny, 1.0 - kTiny);
   p1 = clampFinite(p1, kTiny, 1.0 - kTiny);

@@ -45,4 +45,9 @@ class Transform {
 std::pair<double, double> simplex2ToExternal(double u, double v) noexcept;
 std::pair<double, double> simplex2ToInternal(double p0, double p1) noexcept;
 
+/// Chain rule through simplex2ToExternal: given df/dp0 and df/dp1 at the
+/// point (u, v) maps to, return (df/du, df/dv).
+std::pair<double, double> simplex2Gradient(double u, double v, double dfDp0,
+                                           double dfDp1) noexcept;
+
 }  // namespace slim::opt

@@ -23,19 +23,31 @@ int Alignment::find(std::string_view name) const noexcept {
   return -1;
 }
 
+namespace {
+
+[[noreturn]] void fail(const std::string& source, const std::string& what) {
+  throw AlignmentError(source + ": " + what);
+}
+
+}  // namespace
+
 void Alignment::validate(bool codon) const {
-  SLIM_REQUIRE(!seqs_.empty(), "alignment has no sequences");
-  const std::size_t len = seqs_.front().data.size();
-  SLIM_REQUIRE(len > 0, "alignment has zero length");
+  if (seqs_.empty()) fail(source_, "no sequences");
+  const Sequence& first = seqs_.front();
+  const std::size_t len = first.data.size();
+  if (len == 0) fail(source_, "sequence '" + first.name + "' is empty");
   std::unordered_set<std::string> names;
   for (const auto& s : seqs_) {
-    SLIM_REQUIRE(s.data.size() == len,
-                 "sequence '" + s.name + "' has inconsistent length");
-    SLIM_REQUIRE(names.insert(s.name).second,
-                 "duplicate sequence name '" + s.name + "'");
+    if (s.data.size() != len)
+      fail(source_, "sequence '" + s.name + "' has length " +
+                        std::to_string(s.data.size()) + ", but sequence '" +
+                        first.name + "' has length " + std::to_string(len));
+    if (!names.insert(s.name).second)
+      fail(source_, "duplicate sequence name '" + s.name + "'");
   }
-  if (codon)
-    SLIM_REQUIRE(len % 3 == 0, "alignment length is not a multiple of 3");
+  if (codon && len % 3 != 0)
+    fail(source_, "alignment length " + std::to_string(len) +
+                      " is not a multiple of 3");
 }
 
 namespace {
@@ -59,8 +71,9 @@ std::string stripSpaces(std::string_view s) {
 
 }  // namespace
 
-Alignment Alignment::readFasta(std::istream& in) {
+Alignment Alignment::readFasta(std::istream& in, std::string source) {
   Alignment aln;
+  aln.source_ = std::move(source);
   std::string line, name, data;
   auto flush = [&]() {
     if (!name.empty()) aln.addSequence(std::move(name), std::move(data));
@@ -75,14 +88,14 @@ Alignment Alignment::readFasta(std::istream& in) {
       // Name = first whitespace-delimited token after '>'.
       std::istringstream hs(line.substr(1));
       hs >> name;
-      SLIM_REQUIRE(!name.empty(), "FASTA header with empty name");
+      if (name.empty()) fail(aln.source_, "FASTA header with an empty name");
     } else {
-      SLIM_REQUIRE(!name.empty(), "FASTA sequence data before any header");
+      if (name.empty()) fail(aln.source_, "sequence data before any header");
       data += stripSpaces(line);
     }
   }
   flush();
-  SLIM_REQUIRE(aln.numSequences() > 0, "FASTA input contained no sequences");
+  if (aln.numSequences() == 0) fail(aln.source_, "no sequences");
   return aln;
 }
 
@@ -91,7 +104,9 @@ Alignment Alignment::readFastaString(std::string_view text) {
   return readFasta(in);
 }
 
-Alignment Alignment::readPhylip(std::istream& in) {
+Alignment Alignment::readPhylip(std::istream& in, std::string source) {
+  Alignment aln;
+  aln.source_ = std::move(source);
   std::string line;
   // Header: numSequences length.
   std::size_t ns = 0, len = 0;
@@ -99,20 +114,20 @@ Alignment Alignment::readPhylip(std::istream& in) {
     stripCarriageReturn(line);
     if (isBlank(line)) continue;
     std::istringstream hs(line);
-    SLIM_REQUIRE(static_cast<bool>(hs >> ns >> len),
-                 "PHYLIP header must be 'numSequences length'");
+    if (!(hs >> ns >> len))
+      fail(aln.source_, "PHYLIP header must be 'numSequences length'");
     break;
   }
-  SLIM_REQUIRE(ns > 0 && len > 0, "PHYLIP header missing or zero-sized");
+  if (ns == 0 || len == 0)
+    fail(aln.source_, "PHYLIP header missing or zero-sized");
 
-  Alignment aln;
   std::string name, data;
   auto flush = [&]() {
     if (!name.empty()) {
-      SLIM_REQUIRE(data.size() == len, "PHYLIP sequence '" + name +
-                                           "' has length " +
-                                           std::to_string(data.size()) +
-                                           ", expected " + std::to_string(len));
+      if (data.size() != len)
+        fail(aln.source_, "sequence '" + name + "' has length " +
+                              std::to_string(data.size()) +
+                              ", but the header says " + std::to_string(len));
       aln.addSequence(std::move(name), std::move(data));
     }
     name.clear();
@@ -134,9 +149,10 @@ Alignment Alignment::readPhylip(std::istream& in) {
     }
   }
   flush();
-  SLIM_REQUIRE(aln.numSequences() == ns,
-               "PHYLIP: expected " + std::to_string(ns) + " sequences, got " +
-                   std::to_string(aln.numSequences()));
+  if (aln.numSequences() != ns)
+    fail(aln.source_, "the header says " + std::to_string(ns) +
+                          " sequences, but there are " +
+                          std::to_string(aln.numSequences()));
   return aln;
 }
 
@@ -173,9 +189,12 @@ CodonAlignment encodeCodons(const Alignment& aln, const bio::GeneticCode& gc,
       const auto c64 = bio::codonFromString(cod);
       if (!c64) continue;  // gap or ambiguity: missing
       if (gc.isStop(*c64)) {
-        SLIM_REQUIRE(stopAsMissing,
-                     "stop codon '" + std::string(cod) + "' in sequence '" +
-                         s.name + "' at codon site " + std::to_string(i));
+        if (!stopAsMissing)
+          fail(aln.source(), "stop codon '" + std::string(cod) +
+                                 "' in sequence '" + s.name +
+                                 "' at codon site " + std::to_string(i + 1) +
+                                 " (set cleandata = 1 to treat stop codons "
+                                 "as missing data)");
         continue;
       }
       states[i] = gc.senseIndex(*c64);

@@ -7,6 +7,7 @@
 // engines share).
 
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,6 +15,15 @@
 #include "bio/genetic_code.hpp"
 
 namespace slim::seqio {
+
+/// Thrown for malformed alignment input.  The message starts with the
+/// input's name (its file path, or "FASTA input" / "PHYLIP input" for an
+/// unnamed stream) and names the offending sequence where there is one; it
+/// never carries a source location or a C++ condition.
+class AlignmentError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 /// One named nucleotide sequence (characters as read; case preserved).
 struct Sequence {
@@ -39,15 +49,21 @@ class Alignment {
   int find(std::string_view name) const noexcept;
 
   /// All sequences non-empty, equal length, unique names, length % 3 == 0
-  /// when codon = true.  Throws std::invalid_argument on violation.
+  /// when codon = true.  Throws AlignmentError on violation.
   void validate(bool codon = true) const;
 
+  /// The input's name used in error messages (set by the readers).
+  const std::string& source() const noexcept { return source_; }
+
   // --- IO ---
-  static Alignment readFasta(std::istream& in);
+  /// `source` names the input in error messages (pass the file path).
+  static Alignment readFasta(std::istream& in,
+                             std::string source = "FASTA input");
   static Alignment readFastaString(std::string_view text);
   /// Sequential PHYLIP: header "ns len", then "name  sequence" records whose
   /// sequence part may continue on following lines.
-  static Alignment readPhylip(std::istream& in);
+  static Alignment readPhylip(std::istream& in,
+                              std::string source = "PHYLIP input");
   static Alignment readPhylipString(std::string_view text);
 
   void writeFasta(std::ostream& out, std::size_t lineWidth = 60) const;
@@ -55,6 +71,7 @@ class Alignment {
 
  private:
   std::vector<Sequence> seqs_;
+  std::string source_ = "alignment";
 };
 
 /// Sentinel codon state for gaps / ambiguity (all codon states possible).

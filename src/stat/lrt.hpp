@@ -12,6 +12,11 @@ struct LrtResult {
   double lnL0 = 0;        ///< Maximized log-likelihood under H0.
   double lnL1 = 0;        ///< Maximized log-likelihood under H1.
   double statistic = 0;   ///< 2 (lnL1 - lnL0), clamped at 0.
+  /// max(0, lnL0 - lnL1): how far the larger model's fit ended *below* the
+  /// nested one.  H1 contains H0, so a positive value means an optimizer
+  /// stopped short; the statistic (and the p-values) use the clamped 0,
+  /// and the reports print this so the clamp is never silent.
+  double nestedShortfall = 0;
   double pChi2 = 1;       ///< p-value from chi2 with df degrees of freedom.
   double pMixture = 1;    ///< p-value from the boundary mixture null.
   double df = 1;

@@ -78,9 +78,10 @@ TEST(BackendPlumbing, AutoReproducesPreBackendDispatch) {
   EXPECT_EQ(resolveBackendKind(BackendMode::Auto, linalg::SimdLevel::Scalar),
             BackendKind::Reference);
   for (const auto level : {linalg::SimdLevel::Avx2, linalg::SimdLevel::Avx512})
-    if (linalg::simdLevelAvailable(level))
+    if (linalg::simdLevelAvailable(level)) {
       EXPECT_EQ(resolveBackendKind(BackendMode::Auto, level),
                 BackendKind::Simd);
+    }
 }
 
 TEST(BackendPlumbing, ReferenceAndSimdAlwaysCompiled) {
@@ -275,7 +276,9 @@ TEST(AdaptiveExpm, MatchesTaylorReferenceOnNonReversibleQ) {
       const Matrix want = expmTaylorReference(qt);
       Matrix got(20, 20);
       const int squarings = expmAdaptive(qt, kern, ws, got);
-      if (t == 2.5) EXPECT_GE(squarings, 2) << "seed " << seed;
+      if (t == 2.5) {
+        EXPECT_GE(squarings, 2) << "seed " << seed;
+      }
       for (std::size_t k = 0; k < got.size(); ++k) {
         const double scale = std::max(1.0, std::fabs(want.data()[k]));
         ASSERT_NEAR(got.data()[k], want.data()[k], 1e-12 * scale)

@@ -789,6 +789,41 @@ TEST(ConfigHash, KeysTrajectoryShapingSettingsOnly) {
   EXPECT_NE(checkpointConfigHash(c), h);
 }
 
+TEST(ConfigHash, AnalyticRevisionRefusesOldCheckpoints) {
+  // Hashes of this configuration before the analytic gradient became fully
+  // analytic (revision 1): fd and fd-parallel trajectories did not change,
+  // so their hashes must not either; the analytic one must.
+  Config base;
+  base.seqfile = "a.fasta";
+  base.seqfiles = {"a.fasta"};
+  base.treefile = "t.nwk";
+  base.fit.tuning.simd = linalg::SimdMode::Scalar;
+  const auto hashFor = [&](GradientMode g) {
+    Config c = base;
+    c.fit.tuning.gradient = g;
+    return checkpointConfigHash(c);
+  };
+  EXPECT_EQ(hashFor(GradientMode::FiniteDiff), 0x155d8074f80f6369ull);
+  EXPECT_EQ(hashFor(GradientMode::ParallelFiniteDiff), 0xb90bb556f581cb29ull);
+  constexpr std::uint64_t kAnalyticRevision1 = 0x98e21436243c9d7cull;
+  const std::uint64_t analytic = hashFor(GradientMode::Analytic);
+  EXPECT_NE(analytic, kAnalyticRevision1);
+
+  // A checkpoint written under revision 1 is refused with the keyed error.
+  const TempDir dir("analyticrev");
+  const std::string path = dir.file("run.ckpt");
+  CheckpointManager::open(path, 0, kAnalyticRevision1, /*resume=*/false)
+      ->flush();
+  try {
+    CheckpointManager::open(path, 0, analytic, /*resume=*/true);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("configHash mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ConfigHash, CoversInputFileContent) {
   // An alignment regenerated in place between crash and resume must
   // invalidate the checkpoint even though its path is unchanged.

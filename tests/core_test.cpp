@@ -345,6 +345,25 @@ TEST(Report, JsonSurvivesHostileStringsRoundTrip) {
   EXPECT_TRUE(JsonValidator(std::string_view(tail).substr(brace)).valid());
 }
 
+TEST(Report, NestedShortfallIsPrinted) {
+  const auto sc = makeSmallCase();
+  BranchSiteAnalysis analysis(sc.alignment, sc.tree, EngineKind::Slim,
+                              quickOptions(2));
+  auto test = analysis.run();
+  // An H1 fit that stopped 0.5 lnL below H0: the statistic is clamped,
+  // and both reports carry the shortfall.
+  test.lrt = stat::likelihoodRatioTest(test.h0.lnL, test.h0.lnL - 0.5, 1.0);
+  std::ostringstream text, json;
+  writeTestReport(text, test, EngineKind::Slim);
+  writeJsonTestReport(json, test, EngineKind::Slim);
+  EXPECT_NE(text.str().find("nested shortfall"), std::string::npos)
+      << text.str();
+  EXPECT_NE(text.str().find("0.5 below"), std::string::npos) << text.str();
+  EXPECT_NE(json.str().find("\"nestedShortfall\":0.5"), std::string::npos)
+      << json.str();
+  EXPECT_TRUE(JsonValidator(json.str()).valid()) << json.str();
+}
+
 TEST(Report, JsonBatchReportIsWellFormed) {
   const auto sc = makeSmallCase();
   BranchSiteAnalysis analysis(sc.alignment, sc.tree, EngineKind::Slim,

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "seqio/alignment.hpp"
 
@@ -104,6 +107,43 @@ TEST(Alignment, ValidateCatchesNonCodonLength) {
   aln.addSequence("a", "ATGA");
   EXPECT_THROW(aln.validate(/*codon=*/true), std::invalid_argument);
   EXPECT_NO_THROW(aln.validate(/*codon=*/false));
+}
+
+// Input errors name the input and the sequence, and never leak a source
+// path or a C++ condition.
+void expectInputError(const std::function<void()>& run,
+                      const std::vector<std::string>& mustName) {
+  try {
+    run();
+    FAIL() << "expected AlignmentError";
+  } catch (const AlignmentError& e) {
+    const std::string msg = e.what();
+    for (const auto& s : mustName)
+      EXPECT_NE(msg.find(s), std::string::npos) << msg;
+    EXPECT_EQ(msg.find(".cpp"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("requirement failed"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("=="), std::string::npos) << msg;
+  }
+}
+
+TEST(Alignment, InputErrorsNameTheInputAndSequence) {
+  const auto fastaCodons = [](const std::string& text) {
+    std::istringstream in(text);
+    encodeCodons(Alignment::readFasta(in, "genes/g1.fasta"), gc());
+  };
+  expectInputError([&] { fastaCodons(">a\nATGATG\n>b\nATGAT\n"); },
+                   {"genes/g1.fasta: ", "'b'", "length 5"});
+  expectInputError([&] { fastaCodons(">a\nATGATG\n>a\nATGATG\n"); },
+                   {"genes/g1.fasta: ", "duplicate", "'a'"});
+  expectInputError(
+      [] {
+        std::istringstream in("2 6\na  ATGATG\nb  ATGAT\n");
+        Alignment::readPhylip(in, "genes/g2.phy");
+      },
+      {"genes/g2.phy: ", "'b'", "length 5", "header says 6"});
+  // Unnamed streams still say what kind of input failed.
+  expectInputError([] { Alignment::readFastaString("ATG\n"); },
+                   {"FASTA input: "});
 }
 
 TEST(Alignment, FindByName) {

@@ -106,6 +106,17 @@ TEST(Lrt, NegativeImprovementClampedToZero) {
   EXPECT_DOUBLE_EQ(r.pMixture, 1.0);
 }
 
+TEST(Lrt, NestedShortfallIsReportedNotHidden) {
+  // The clamp keeps the p-values at the null, and the shortfall says by how
+  // much the larger model ended below the nested one.
+  const auto below = likelihoodRatioTest(-500.0, -500.25);
+  EXPECT_DOUBLE_EQ(below.statistic, 0.0);
+  EXPECT_DOUBLE_EQ(below.nestedShortfall, 0.25);
+  const auto above = likelihoodRatioTest(-500.0, -499.0);
+  EXPECT_DOUBLE_EQ(above.nestedShortfall, 0.0);
+  EXPECT_DOUBLE_EQ(above.statistic, 2.0);
+}
+
 TEST(Lrt, StrongSignal) {
   const auto r = likelihoodRatioTest(-1000.0, -980.0);  // 2*dlnL = 40
   EXPECT_LT(r.pChi2, 1e-9);
