@@ -74,20 +74,6 @@ void BM_Gemv(benchmark::State& state) {
   state.SetLabel(linalg::flavorName(flavor));
 }
 
-void BM_Symv(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Flavor flavor = state.range(1) ? Flavor::Opt : Flavor::Naive;
-  const Matrix a = bench::randomSymmetric(n, 8);
-  const Vector x = bench::randomVector(n, 9);
-  Vector y(n);
-  for (auto _ : state) {
-    linalg::symv(flavor, a, x.span(), y.span());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n);
-  state.SetLabel(linalg::flavorName(flavor));
-}
-
 void sizesAndFlavors(benchmark::internal::Benchmark* b) {
   for (int n : {61, 122, 244})
     for (int flavor : {0, 1}) b->Args({n, flavor});
@@ -97,7 +83,6 @@ BENCHMARK(BM_Gemm)->Apply(sizesAndFlavors);
 BENCHMARK(BM_GemmNT)->Apply(sizesAndFlavors);
 BENCHMARK(BM_Syrk)->Apply(sizesAndFlavors);
 BENCHMARK(BM_Gemv)->Apply(sizesAndFlavors);
-BENCHMARK(BM_Symv)->Apply(sizesAndFlavors);
 
 // --- Compute-backend dimension (src/backend/) ---------------------------
 //
@@ -150,21 +135,6 @@ void BM_BackendGemmNT(benchmark::State& state) {
   state.SetLabel(be.name);
 }
 
-void BM_BackendSyrk(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto kind = kindForArg(static_cast<int>(state.range(1)));
-  if (skipUnavailable(state, kind)) return;
-  const auto be = backend::computeBackend(kind, linalg::detectSimdLevel());
-  const Matrix y = bench::randomMatrix(n, n, 5);
-  Matrix c(n, n);
-  for (auto _ : state) {
-    be.ops.syrk(y.data(), c.data(), n, n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  state.SetLabel(be.name);
-}
-
 void sizesAndBackends(benchmark::internal::Benchmark* b) {
   for (int n : {61, 122, 244})
     for (int kind : {0, 1, 2}) b->Args({n, kind});
@@ -172,7 +142,6 @@ void sizesAndBackends(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_BackendGemm)->Apply(sizesAndBackends);
 BENCHMARK(BM_BackendGemmNT)->Apply(sizesAndBackends);
-BENCHMARK(BM_BackendSyrk)->Apply(sizesAndBackends);
 
 }  // namespace
 

@@ -85,10 +85,10 @@ BENCHMARK(BM_Reconstruct_Syrk_Opt);
 // --- SIMD-dispatched reconstruction (linalg/simd.hpp) -------------------
 //
 // "Fused" runs the kernel-table transitionMatrix overload: the Pi sandwich
-// and clamp are folded into the rank-update loop.  "Unfused" runs the same
-// level's plain syrk followed by the separate mirror-free scaleSandwich and
-// clamp passes — the legacy step sequence — isolating what fusion buys at
-// the same ISA.  Levels the host cannot run are skipped.
+// and clamp are folded into the rank-update loop.  "Unfused" forms Y Y^T
+// from the same level's dot kernel, then runs the separate scaleSandwich
+// and clamp passes — the Flavor::Opt step sequence — isolating what fusion
+// buys at the same ISA.  Levels the host cannot run are skipped.
 void reconstructSimd(benchmark::State& state, linalg::SimdLevel level,
                      bool fused) {
   if (!linalg::simdLevelAvailable(level)) {
@@ -113,7 +113,12 @@ void reconstructSimd(benchmark::State& state, linalg::SimdLevel level,
       for (std::size_t i = 0; i < 61; ++i)
         expDiag[i] = std::exp(0.5 * s.es.eigenvalues()[i] * t);
       linalg::scaleCols(s.es.eigenvectors(), expDiag, y);
-      linalg::syrk(kern, y, z);
+      // Unfused Y Y^T on the level's dot kernel: the upper triangle row by
+      // row, then the mirror.
+      for (std::size_t i = 0; i < 61; ++i)
+        kern.gemmNT(y.row(i), y.row(i), z.row(i) + i, 1, 61, 61 - i);
+      for (std::size_t i = 1; i < 61; ++i)
+        for (std::size_t j = 0; j < i; ++j) z(i, j) = z(j, i);
       linalg::scaleSandwich(z, s.es.invSqrtPi(), s.es.sqrtPi(), p);
       for (std::size_t k = 0; k < p.size(); ++k)
         if (p.data()[k] < 0.0) p.data()[k] = 0.0;
@@ -144,31 +149,6 @@ BENCHMARK(BM_Reconstruct_Syrk_Avx2Unfused);
 BENCHMARK(BM_Reconstruct_Syrk_Avx2Fused);
 BENCHMARK(BM_Reconstruct_Syrk_Avx512Unfused);
 BENCHMARK(BM_Reconstruct_Syrk_Avx512Fused);
-
-void BM_SymmetricPropagator(benchmark::State& state) {
-  auto& s = setup();
-  expm::ExpmWorkspace ws;
-  linalg::Matrix m(61, 61);
-  double t = 0.01;
-  for (auto _ : state) {
-    s.es.symmetricPropagator(t, linalg::Flavor::Opt, ws, m);
-    benchmark::DoNotOptimize(m.data());
-    t += 1e-6;
-  }
-}
-BENCHMARK(BM_SymmetricPropagator);
-
-void BM_MakeYhat(benchmark::State& state) {
-  auto& s = setup();
-  linalg::Matrix yhat(61, 61);
-  double t = 0.01;
-  for (auto _ : state) {
-    s.es.makeYhat(t, yhat);
-    benchmark::DoNotOptimize(yhat.data());
-    t += 1e-6;
-  }
-}
-BENCHMARK(BM_MakeYhat);
 
 void BM_Eigendecomposition(benchmark::State& state) {
   auto& s = setup();

@@ -3,12 +3,8 @@
 //
 //   per-site-gemv   — CodeML (one dgemv per site pattern)
 //   bundled-gemm    — SlimCodeML's BLAS-3 bundling (Sec. III-B)
-//   symmetric-symv  — Eq. 12 symmetric propagator + symv
-//   factored-apply  — Yhat factors, no n x n propagator at all
 //
-// Expected shape: bundled-gemm wins at large pattern counts; factored-apply
-// wins when patterns are few relative to n = 61 (it skips the ~n^3
-// reconstruction); per-site-gemv never wins.
+// Expected shape: bundled-gemm wins, by more as the pattern count grows.
 
 #include <benchmark/benchmark.h>
 
@@ -70,17 +66,9 @@ void BM_PerSiteGemv(benchmark::State& state) {
 void BM_BundledGemm(benchmark::State& state) {
   evaluate(state, lik::PropagationStrategy::BundledGemm);
 }
-void BM_SymmetricSymv(benchmark::State& state) {
-  evaluate(state, lik::PropagationStrategy::SymmetricSymv);
-}
-void BM_FactoredApply(benchmark::State& state) {
-  evaluate(state, lik::PropagationStrategy::FactoredApply);
-}
 
 BENCHMARK(BM_PerSiteGemv)->Arg(10)->Arg(100)->Arg(1000);
 BENCHMARK(BM_BundledGemm)->Arg(10)->Arg(100)->Arg(1000);
-BENCHMARK(BM_SymmetricSymv)->Arg(10)->Arg(100)->Arg(1000);
-BENCHMARK(BM_FactoredApply)->Arg(10)->Arg(100)->Arg(1000);
 
 }  // namespace
 

@@ -40,14 +40,6 @@ void gemmNTBlas(const double* a, const double* b, double* c, std::size_t m,
               static_cast<int>(n));
 }
 
-void syrkBlas(const double* y, double* c, std::size_t n, std::size_t k) {
-  cblas_dsyrk(CblasRowMajor, CblasUpper, CblasNoTrans, static_cast<int>(n),
-              static_cast<int>(k), 1.0, y, static_cast<int>(k), 0.0, c,
-              static_cast<int>(n));
-  for (std::size_t i = 1; i < n; ++i)
-    for (std::size_t j = 0; j < i; ++j) c[i * n + j] = c[j * n + i];
-}
-
 void syrkSandwichBlas(const double* y, const double* l, const double* r,
                       double* p, std::size_t n, std::size_t k) {
   cblas_dsyrk(CblasRowMajor, CblasUpper, CblasNoTrans, static_cast<int>(n),
@@ -81,8 +73,7 @@ void gemmNTSandwichBlas(const double* a, const double* b, const double* l,
 }
 
 constexpr linalg::SimdKernels kBlasKernels{
-    "blas",   gemmBlas,         gemmNTBlas,
-    syrkBlas, syrkSandwichBlas, gemmNTSandwichBlas,
+    "blas", gemmBlas, gemmNTBlas, syrkSandwichBlas, gemmNTSandwichBlas,
 };
 
 }  // namespace

@@ -5,17 +5,16 @@
 // this layer promotes that table into a real backend interface: a
 // ComputeBackend bundles an identity (kind + name) with a full
 // linalg::SimdKernels ops table covering the hot likelihood panels — the
-// saxpy-form panel gemm, the dot-form gemmNT, syrk, and the two fused
-// Pi-sandwich reconstructions the propagator builder runs.  The evaluator
-// resolves `backend =` once at construction (exactly like `simd =`) and
-// routes every panel and propagator through the chosen table.
+// saxpy-form panel gemm, the dot-form gemmNT, and the two fused Pi-sandwich
+// reconstructions the propagator builder runs.  The evaluator resolves
+// `backend =` once at construction (exactly like `simd =`) and routes every
+// Flavor::Opt panel and propagator through the chosen table.
 //
 // Backends:
 //   * reference — the scalar kernel table.  This is the bit-exact oracle:
-//     its entries are the very code the Flavor::Opt scalar path runs, and
-//     the evaluator keeps the legacy non-table code path for it, so
-//     `backend = reference` output is bit-identical to the pre-backend
-//     default at `simd = scalar`.
+//     its entries are the very code the Flavor::Opt kernels run, so
+//     `backend = reference` output is bit-identical to the unfused
+//     Flavor::Opt sequences (tests/simd_kernel_test.cpp pins it).
 //   * simd — the existing AVX2/AVX-512 dispatch, at whatever level
 //     `simd =` resolves to.  Agrees with reference to <= 1e-10 relative on
 //     the log-likelihood (the PR 4 contract, unchanged).

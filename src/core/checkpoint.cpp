@@ -99,8 +99,7 @@ model::Hypothesis parseHypothesis(std::string_view rest,
 
 GradientMode parseGradientMode(std::string_view rest,
                                const std::string& context) {
-  for (const auto g : {GradientMode::FiniteDiff, GradientMode::ParallelFiniteDiff,
-                       GradientMode::Analytic})
+  for (const auto g : {GradientMode::FiniteDiff, GradientMode::Analytic})
     if (rest == gradientModeName(g)) return g;
   throw ConfigError(context + ": unknown gradient mode '" + std::string(rest) +
                     "'");
@@ -508,8 +507,8 @@ std::uint64_t checkpointConfigHash(const Config& config) {
   // The analytic gradient carries a revision: since revision 2 it
   // differentiates kappa, the omegas and the proportions analytically
   // (revision 1 finite-differenced them), so its trajectories moved and a
-  // revision-1 state must not resume under it.  fd and fd-parallel
-  // trajectories are unchanged, so their checkpoints stay resumable.
+  // revision-1 state must not resume under it.  fd trajectories are
+  // unchanged, so their checkpoints stay resumable.
   const GradientMode gradient = config.fit.tuning.gradient;
   add("gradient", gradient == GradientMode::Analytic
                       ? "analytic/2"

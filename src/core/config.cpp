@@ -144,12 +144,14 @@ Config Config::parse(std::istream& in) {
     } else if (key == "gradient") {
       if (value == "fd")
         cfg.fit.tuning.gradient = GradientMode::FiniteDiff;
-      else if (value == "fd-parallel")
-        cfg.fit.tuning.gradient = GradientMode::ParallelFiniteDiff;
       else if (value == "analytic")
         cfg.fit.tuning.gradient = GradientMode::Analytic;
+      else if (value == "fd-parallel")
+        badLine(lineNo,
+                "gradient = fd-parallel was removed; use 'analytic' (no "
+                "finite-difference probes) or 'fd' (the reference mode)");
       else
-        badLine(lineNo, "gradient must be 'fd', 'fd-parallel' or 'analytic'");
+        badLine(lineNo, "gradient must be 'fd' or 'analytic'");
     } else if (key == "model") {
       if (value == "branch-site")
         cfg.analysis = AnalysisKind::BranchSite;
@@ -230,14 +232,15 @@ Config Config::parseString(std::string_view text) {
 
 Config Config::parseFile(const std::string& path) {
   std::ifstream in(path);
-  SLIM_REQUIRE(in.good(), "cannot open control file '" + path + "'");
+  if (!in.good()) throw ConfigError("cannot open control file '" + path + "'");
   return parse(in);
 }
 
 seqio::CodonAlignment loadAlignmentFile(const std::string& path,
                                         bool stopCodonsAsMissing) {
   std::ifstream seqIn(path);
-  SLIM_REQUIRE(seqIn.good(), "cannot open sequence file '" + path + "'");
+  if (!seqIn.good())
+    throw ConfigError("cannot open sequence file '" + path + "'");
   // FASTA if the first non-blank character is '>', else sequential PHYLIP.
   char first = 0;
   seqIn >> std::ws;
@@ -251,10 +254,10 @@ seqio::CodonAlignment loadAlignmentFile(const std::string& path,
 
 tree::Tree loadTreeFile(const std::string& path) {
   std::ifstream treeIn(path);
-  SLIM_REQUIRE(treeIn.good(), "cannot open tree file '" + path + "'");
+  if (!treeIn.good()) throw ConfigError("cannot open tree file '" + path + "'");
   std::stringstream treeText;
   treeText << treeIn.rdbuf();
-  return tree::Tree::parseNewick(treeText.str());
+  return tree::Tree::parseNewick(treeText.str(), path);
 }
 
 namespace {

@@ -18,7 +18,7 @@
 //     engine   = slim              * slim | slim-parallel | codeml
 //     threads  = 0                 * worker threads (0: all cores)
 //     parallel = auto              * auto | task | pattern (batch fan-out)
-//     gradient = fd                * fd | fd-parallel | analytic
+//     gradient = fd                * fd | analytic
 //     simd     = auto              * auto | scalar | avx2 | avx512
 //     backend  = auto              * auto | reference | simd | blas
 //     expm     = eigen             * eigen | adaptive (scaling-and-squaring)

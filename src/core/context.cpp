@@ -1,19 +1,44 @@
 #include "core/context.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <set>
+#include <stdexcept>
+#include <string_view>
 #include <tuple>
 
 #include "core/objective.hpp"
 #include "opt/transforms.hpp"
 #include "sim/rng.hpp"
-#include "support/parallel.hpp"
 #include "support/require.hpp"
+#include "tree/branch_classes.hpp"
 
 namespace slim::core {
 
 using model::BranchSiteParams;
 using model::Hypothesis;
+
+void checkTreeMatchesAlignment(const seqio::CodonAlignment& alignment,
+                               const tree::Tree& tree,
+                               bool needsMarkedBranch) {
+  std::set<std::string_view> seen;
+  for (int id : tree.leaves()) {
+    const std::string& label = tree.node(id).label;
+    if (std::find(alignment.names.begin(), alignment.names.end(), label) ==
+        alignment.names.end())
+      throw std::invalid_argument(tree.source() + ": leaf '" + label +
+                                  "' has no sequence in " + alignment.source);
+    // Two leaves with one label would both read that sequence.
+    if (!seen.insert(label).second)
+      throw std::invalid_argument(tree.source() + ": leaf '" + label +
+                                  "' appears more than once");
+  }
+  if (needsMarkedBranch && !tree::hasMarkedBranch(tree))
+    throw std::invalid_argument(
+        tree.source() +
+        ": no branch is marked (#1); the model needs a foreground branch");
+}
 
 AnalysisContext::AnalysisContext(seqio::CodonAlignment alignment,
                                  std::shared_ptr<const tree::Tree> tree,
@@ -26,6 +51,10 @@ AnalysisContext::AnalysisContext(seqio::CodonAlignment alignment,
       options_(std::move(options)),
       cache_(std::make_shared<lik::SharedPropagatorCache>()) {
   SLIM_REQUIRE(tree_ != nullptr, "AnalysisContext: null tree");
+  const model::ModelSpec& spec = options_.modelSpec;
+  checkTreeMatchesAlignment(
+      alignment_, *tree_,
+      spec.kind == model::ModelKind::BranchSite || spec.numBranchClasses > 1);
 }
 
 std::shared_ptr<const AnalysisContext> AnalysisContext::create(
@@ -294,14 +323,9 @@ FitResult fitScenarioHypothesis(
   std::vector<double> x0 = packing.pack(start, startLengths);
 
   const GradientMode mode = fitOptions.tuning.gradient;
-  const int fanWorkers = mode == GradientMode::FiniteDiff
-                             ? 1
-                             : support::resolveThreadCount(likOptions.numThreads);
   const bio::GeneticCode& gc = *context.alignment().code;
   LikelihoodObjective objective(
-      eval, context.alignment(), context.patterns(), context.pi(),
-      context.tree(), hypothesis, likOptions, mode, fitOptions.tuning.policy,
-      fanWorkers, LikelihoodObjective::layoutOf(packing, numBranches),
+      eval, mode, LikelihoodObjective::layoutOf(packing, numBranches),
       [&packing, &gc, &context, &spec, numBranches](
           lik::BranchSiteLikelihood& e,
           std::span<const double> x) -> model::MixtureSpec {
@@ -391,22 +415,12 @@ FitResult fitHypothesis(const AnalysisContext& context, Hypothesis hypothesis,
 
   std::vector<double> x0 = packing.pack(start, startLengths);
 
-  // The derivative-aware objective: value() on the fit's evaluator; FD probe
-  // points fanned across single-threaded pool evaluators when the gradient
-  // mode and policy allow; analytic branch derivatives under
-  // GradientMode::Analytic.  The likelihood's thread budget doubles as the
-  // coordinate fan-out width (a task-level scheduler above this fit passes
-  // numThreads = 1, which also keeps the probe pool sequential — no nested
-  // oversubscription).
+  // The derivative-aware objective: value() and FD probes on the fit's
+  // evaluator; the analytic gradient under GradientMode::Analytic.
   const GradientMode mode = fitOptions.tuning.gradient;
-  const int fanWorkers = mode == GradientMode::FiniteDiff
-                             ? 1
-                             : support::resolveThreadCount(likOptions.numThreads);
   const bio::GeneticCode& gc = *context.alignment().code;
   LikelihoodObjective objective(
-      eval, context.alignment(), context.patterns(), context.pi(),
-      context.tree(), hypothesis, likOptions, mode, fitOptions.tuning.policy,
-      fanWorkers, LikelihoodObjective::layoutOf(packing, numBranches),
+      eval, mode, LikelihoodObjective::layoutOf(packing, numBranches),
       [&packing, &gc, &context, hypothesis, numBranches](
           lik::BranchSiteLikelihood& e,
           std::span<const double> x) -> model::MixtureSpec {

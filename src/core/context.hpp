@@ -115,6 +115,15 @@ struct PositiveSelectionTest {
   lik::EvalCounters counters;
 };
 
+/// Where an analysis joins its alignment to its tree: every leaf label must
+/// name a sequence, no label may repeat, and when `needsMarkedBranch` (a
+/// model whose omegas differ between branch classes) some branch must carry
+/// a #k mark.
+/// Throws std::invalid_argument naming the inputs by their source names and
+/// the offending leaf.
+void checkTreeMatchesAlignment(const seqio::CodonAlignment& alignment,
+                               const tree::Tree& tree, bool needsMarkedBranch);
+
 /// Immutable per-gene analysis state, shareable across fit tasks.  Create
 /// once, then fan any number of fitHypothesis / siteScanAtFit calls over it;
 /// const methods are safe to call concurrently (the propagator-cache
@@ -124,7 +133,8 @@ class AnalysisContext {
  public:
   /// The tree's #k marks are its branch classes; branch-heterogeneous
   /// models need at least one marked branch.  Leaf labels must match the
-  /// alignment sequence names.  Copies both inputs.
+  /// alignment sequence names (both checked here, see
+  /// checkTreeMatchesAlignment).  Copies both inputs.
   static std::shared_ptr<const AnalysisContext> create(
       const seqio::CodonAlignment& alignment, const tree::Tree& tree,
       EngineKind engine, FitOptions options = {});

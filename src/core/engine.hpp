@@ -1,7 +1,9 @@
 #pragma once
 // Engine presets: the two systems compared throughout the paper's
 // evaluation.  Both run the same parser, tree, optimizer and pruning
-// machinery; they differ exactly in the likelihood-kernel options.
+// machinery; they differ exactly in the likelihood-kernel options (kernel
+// flavor, reconstruction path and one of the two propagation strategies —
+// see lik/options.hpp).
 
 #include "lik/options.hpp"
 
@@ -55,12 +57,9 @@ constexpr const char* parallelPolicyName(ParallelPolicy p) noexcept {
 /// (`gradient =` in the control file).
 enum class GradientMode {
   /// Forward/central finite differences, one evaluation per coordinate,
-  /// probed serially on the fit's own evaluator (the default).
+  /// probed on the fit's own (possibly pattern-parallel) evaluator (the
+  /// default, and the reference the analytic mode is checked against).
   FiniteDiff,
-  /// The same finite differences, with the probe points fanned across a
-  /// pool of single-threaded evaluators on core::TaskScheduler.  Values are
-  /// bit-identical to FiniteDiff for every worker count.
-  ParallelFiniteDiff,
   /// Full analytic gradient: every coordinate — branch lengths, kappa,
   /// the omegas and the mixture proportions — from one extra pruning-style
   /// sweep over the evaluation's retained state (dP/dt and dP/dtheta via
@@ -73,7 +72,6 @@ enum class GradientMode {
 constexpr const char* gradientModeName(GradientMode g) noexcept {
   switch (g) {
     case GradientMode::FiniteDiff: return "fd";
-    case GradientMode::ParallelFiniteDiff: return "fd-parallel";
     case GradientMode::Analytic: return "analytic";
   }
   return "?";
@@ -86,9 +84,8 @@ struct LikelihoodTuning {
   int numThreads = -1;        ///< see lik::LikelihoodOptions::numThreads
   int blockSize = -1;         ///< see lik::LikelihoodOptions::blockSize
   int cachePropagators = -1;  ///< tri-state: -1 preset, 0 off, 1 on
-  /// Nested-parallelism policy for schedulers running independent fit tasks
-  /// (core::TaskScheduler / core::BatchAnalysis); single evaluations ignore
-  /// it, but it also gates whether ParallelFiniteDiff may fan probe points.
+  /// Nested-parallelism policy for schedulers running independent fit
+  /// tasks (core::TaskScheduler / core::BatchAnalysis).
   ParallelPolicy policy = ParallelPolicy::Auto;
   /// Gradient computation for the BFGS fits.
   GradientMode gradient = GradientMode::FiniteDiff;

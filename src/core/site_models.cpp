@@ -4,9 +4,9 @@
 #include <cmath>
 #include <tuple>
 
+#include "core/context.hpp"
 #include "core/objective.hpp"
 #include "opt/transforms.hpp"
-#include "support/parallel.hpp"
 #include "support/require.hpp"
 
 namespace slim::core {
@@ -116,6 +116,7 @@ SiteModelAnalysis::SiteModelAnalysis(const seqio::CodonAlignment& alignment,
       tree_(tree),
       engine_(engine),
       options_(options) {
+  checkTreeMatchesAlignment(alignment_, tree_, /*needsMarkedBranch=*/false);
   pi_ = model::estimateCodonFrequencies(alignment_, options_.frequencyModel);
 }
 
@@ -137,13 +138,8 @@ SiteModelFitResult SiteModelAnalysis::fit(SiteModel m) {
   // Same derivative-aware objective as fitHypothesis, with the site-model
   // packing and spec builder plugged into the prepare hook.
   const GradientMode mode = options_.tuning.gradient;
-  const int fanWorkers = mode == GradientMode::FiniteDiff
-                             ? 1
-                             : support::resolveThreadCount(likOptions.numThreads);
   LikelihoodObjective objective(
-      eval, alignment_, patterns_, pi_, tree_, Hypothesis::H1, likOptions,
-      mode, options_.tuning.policy, fanWorkers,
-      LikelihoodObjective::layoutOf(packing, numBranches),
+      eval, mode, LikelihoodObjective::layoutOf(packing, numBranches),
       [&packing, &gc, this, m, numBranches](
           lik::BranchSiteLikelihood& e,
           std::span<const double> x) -> model::MixtureSpec {

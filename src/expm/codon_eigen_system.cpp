@@ -142,103 +142,4 @@ void CodonEigenSystem::derivativeMatrix(double t,
                       /*clampNegative=*/false);
 }
 
-void CodonEigenSystem::symmetricPropagator(double t, Flavor flavor,
-                                           ExpmWorkspace& ws, Matrix& m) const {
-  const std::size_t nn = n();
-  SLIM_REQUIRE(t >= 0, "branch length must be non-negative");
-  SLIM_REQUIRE(m.rows() == nn && m.square(), "output shape mismatch");
-  if (ws.y.rows() != nn) ws.y.resize(nn, nn);
-  makeYhat(t, ws.y);
-  // M = Yhat Yhat^T is symmetric; e^{Qt} w = M (Pi w)  (Eq. 12).
-  linalg::syrk(flavor, ws.y, m);
-}
-
-void CodonEigenSystem::symmetricPropagator(double t,
-                                           const linalg::SimdKernels& kern,
-                                           ExpmWorkspace& ws,
-                                           Matrix& m) const {
-  const std::size_t nn = n();
-  SLIM_REQUIRE(t >= 0, "branch length must be non-negative");
-  SLIM_REQUIRE(m.rows() == nn && m.square(), "output shape mismatch");
-  if (ws.y.rows() != nn) ws.y.resize(nn, nn);
-  makeYhat(t, ws.y);
-  linalg::syrk(kern, ws.y, m);
-}
-
-void CodonEigenSystem::makeYhat(double t, Matrix& yhat) const {
-  const std::size_t nn = n();
-  SLIM_REQUIRE(t >= 0, "branch length must be non-negative");
-  SLIM_REQUIRE(yhat.rows() == nn && yhat.square(), "output shape mismatch");
-  // Yhat = Pi^{-1/2} X e^{Lambda t/2}  (Eq. 13); the exponential depends
-  // only on the column, so hoist it out of the O(n^2) loop.
-  std::vector<double> expHalf(nn);
-  for (std::size_t j = 0; j < nn; ++j)
-    expHalf[j] = std::exp(0.5 * eig_.values[j] * t);
-  for (std::size_t i = 0; i < nn; ++i) {
-    const double li = invSqrtPi_[i];
-    for (std::size_t j = 0; j < nn; ++j)
-      yhat(i, j) = li * eig_.vectors(i, j) * expHalf[j];
-  }
-}
-
-void CodonEigenSystem::applyExp(double t, const Matrix& w, Flavor flavor,
-                                ExpmWorkspace& ws, Matrix& out) const {
-  const std::size_t nn = n();
-  const std::size_t m = w.cols();
-  SLIM_REQUIRE(w.rows() == nn, "applyExp: input rows mismatch");
-  SLIM_REQUIRE(out.rows() == nn && out.cols() == m, "applyExp: output shape");
-  if (ws.y.rows() != nn) ws.y.resize(nn, nn);
-  if (ws.z.rows() != nn || ws.z.cols() != nn) ws.z.resize(nn, nn);
-
-  makeYhat(t, ws.y);
-  linalg::transposeInto(ws.y, ws.z);  // Yhat^T
-
-  // u = Yhat^T (Pi W); out = Yhat u.  Two n x n by n x m products
-  // (~4 n^2 m flops) with no n^3 formation of P.
-  Matrix& piW = ws.applyTmp1;
-  Matrix& u = ws.applyTmp2;
-  if (piW.rows() != nn || piW.cols() != m) piW.resize(nn, m);
-  if (u.rows() != nn || u.cols() != m) u.resize(nn, m);
-  linalg::scaleRows(pi_, w, piW);
-  linalg::gemm(flavor, ws.z, piW, u);
-  linalg::gemm(flavor, ws.y, u, out);
-  for (std::size_t k = 0; k < out.size(); ++k)
-    if (out.data()[k] < 0.0) out.data()[k] = 0.0;
-}
-
-void applyFactoredPanel(const Matrix& yhat, std::span<const double> pi,
-                        linalg::ConstMatrixView w, Flavor flavor,
-                        linalg::MatrixView piW, linalg::MatrixView u,
-                        linalg::MatrixView out) {
-  const std::size_t nn = yhat.rows();
-  SLIM_REQUIRE(yhat.square() && w.cols() == nn, "applyFactoredPanel: shapes");
-  SLIM_REQUIRE(piW.rows() == w.rows() && piW.cols() == nn &&
-                   u.rows() == w.rows() && u.cols() == nn &&
-                   out.rows() == w.rows() && out.cols() == nn,
-               "applyFactoredPanel: workspace shapes");
-  linalg::scaleCols(w, pi, piW);
-  linalg::gemm(flavor, piW, yhat.view(), u);
-  linalg::gemmNT(flavor, u, yhat.view(), out);
-  for (std::size_t k = 0; k < out.size(); ++k)
-    if (out.data()[k] < 0.0) out.data()[k] = 0.0;
-}
-
-void applyFactoredPanel(const Matrix& yhat, std::span<const double> pi,
-                        linalg::ConstMatrixView w,
-                        const linalg::SimdKernels& kern,
-                        linalg::MatrixView piW, linalg::MatrixView u,
-                        linalg::MatrixView out) {
-  const std::size_t nn = yhat.rows();
-  SLIM_REQUIRE(yhat.square() && w.cols() == nn, "applyFactoredPanel: shapes");
-  SLIM_REQUIRE(piW.rows() == w.rows() && piW.cols() == nn &&
-                   u.rows() == w.rows() && u.cols() == nn &&
-                   out.rows() == w.rows() && out.cols() == nn,
-               "applyFactoredPanel: workspace shapes");
-  linalg::scaleCols(w, pi, piW);
-  linalg::gemm(kern, piW, yhat.view(), u);
-  linalg::gemmNT(kern, u, yhat.view(), out);
-  for (std::size_t k = 0; k < out.size(); ++k)
-    if (out.data()[k] < 0.0) out.data()[k] = 0.0;
-}
-
 }  // namespace slim::expm

@@ -11,12 +11,6 @@
 //   4.  Z := Y Y^T      [SyrkPath, Eq. 10, ~n^3]      — or —
 //       Z := (X e^{Lambda t}) X^T [GemmPath, Eq. 9, ~2n^3]
 //   5.  P(t) := Pi^{-1/2} Z Pi^{1/2}                  (O(n^2), Eq. 5)
-//
-// The class also implements the Eq. 12-13 refinement: with
-// Yhat := Pi^{-1/2} X e^{Lambda t/2}, the product M = Yhat Yhat^T is
-// *symmetric* and e^{Qt} w = M (Pi w), enabling symv propagation, or the
-// factored apply e^{Qt} W = Yhat (Yhat^T (Pi W)) that skips the n^3
-// formation of P entirely.
 
 #include <span>
 #include <vector>
@@ -41,11 +35,9 @@ constexpr const char* reconstructionPathName(ReconstructionPath p) noexcept {
 /// Scratch buffers reused across transitionMatrix calls so the per-branch
 /// hot loop performs no allocation.
 struct ExpmWorkspace {
-  linalg::Matrix y;          // X e^{Lambda t} or Yhat
-  linalg::Matrix z;          // reconstruction output / Yhat^T
-  linalg::Vector expDiag;    // e^{lambda_i t} or e^{lambda_i t/2}
-  linalg::Matrix applyTmp1;  // Pi W   (apply path)
-  linalg::Matrix applyTmp2;  // Yhat^T (Pi W)
+  linalg::Matrix y;        // X e^{Lambda t} or X e^{Lambda t/2}
+  linalg::Matrix z;        // reconstruction output (Flavor path)
+  linalg::Vector expDiag;  // e^{lambda_i t} or e^{lambda_i t/2}
 };
 
 class CodonEigenSystem {
@@ -96,47 +88,9 @@ class CodonEigenSystem {
   void derivativeMatrix(double t, const linalg::SimdKernels& kern,
                         ExpmWorkspace& ws, linalg::Matrix& dp) const;
 
-  /// Eq. 12-13: fill m with the *symmetric* propagator M = Yhat Yhat^T such
-  /// that e^{Qt} w = M (Pi w).  Use with linalg::symv.
-  void symmetricPropagator(double t, linalg::Flavor flavor, ExpmWorkspace& ws,
-                           linalg::Matrix& m) const;
-
-  /// SIMD-dispatched form of the Eq. 12 symmetric propagator build.
-  void symmetricPropagator(double t, const linalg::SimdKernels& kern,
-                           ExpmWorkspace& ws, linalg::Matrix& m) const;
-
-  /// Fill yhat with Yhat = Pi^{-1/2} X e^{Lambda t/2} (n x n), the factor of
-  /// the apply path: e^{Qt} W = Yhat (Yhat^T (Pi W)).
-  void makeYhat(double t, linalg::Matrix& yhat) const;
-
-  /// Apply e^{Qt} to a bundle of column vectors: out := e^{Qt} w where w and
-  /// out are n x m.  Uses the factored path (2 gemms of n x n by n x m),
-  /// never forming P; cheaper than reconstruction when m << n/2.
-  void applyExp(double t, const linalg::Matrix& w, linalg::Flavor flavor,
-                ExpmWorkspace& ws, linalg::Matrix& out) const;
-
  private:
   std::vector<double> pi_, sqrtPi_, invSqrtPi_;
   eigenx::SymEigenResult eig_;
 };
-
-/// Pattern-major panel form of the Eq. 13 factored apply, the entry point of
-/// the pattern-blocked likelihood engine: given Yhat (n x n) and a panel W
-/// (p x n) whose rows are CPVs, fill out (p x n) with row h = (e^{Qt} w_h)^T
-/// via ((W Pi) Yhat) Yhat^T — two rectangular gemms, no n x n product.
-/// Roundoff negatives are clamped to 0 (same policy as transitionMatrix).
-/// piW and u are caller-owned workspaces shaped like w.
-void applyFactoredPanel(const linalg::Matrix& yhat, std::span<const double> pi,
-                        linalg::ConstMatrixView w, linalg::Flavor flavor,
-                        linalg::MatrixView piW, linalg::MatrixView u,
-                        linalg::MatrixView out);
-
-/// SIMD-dispatched form: the two rectangular gemms run on the selected
-/// kernel table (bit-identical to the Flavor::Opt form under the scalar
-/// table).
-void applyFactoredPanel(const linalg::Matrix& yhat, std::span<const double> pi,
-                        linalg::ConstMatrixView w,
-                        const linalg::SimdKernels& kern, linalg::MatrixView piW,
-                        linalg::MatrixView u, linalg::MatrixView out);
 
 }  // namespace slim::expm

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "linalg/blas1.hpp"
 #include "linalg/blas2.hpp"
@@ -65,16 +64,6 @@ BranchSiteLikelihood::BranchSiteLikelihood(
       simdLevel_);
   kern_ = &backend_.ops;
 
-  // The symmetric / factored propagation strategies are artifacts of the
-  // eigendecomposition (they apply M or Yhat, never P itself), so the
-  // adaptive propagator cannot serve them.
-  if (options_.expm == backend::ExpmAlgorithm::Adaptive &&
-      options_.propagation != PropagationStrategy::PerSiteGemv &&
-      options_.propagation != PropagationStrategy::BundledGemm)
-    throw std::invalid_argument(
-        "expm = adaptive supports only the per-site-gemv and bundled-gemm "
-        "propagation strategies");
-
   branchNodes_ = tree_.branches();
   nodeToBranch_.assign(tree_.numNodes(), -1);
   for (int k = 0; k < static_cast<int>(branchNodes_.size()); ++k)
@@ -127,80 +116,33 @@ void BranchSiteLikelihood::setAllBranchLengths(double t) {
   for (int k = 0; k < numBranches(); ++k) setBranchLength(k, t);
 }
 
-// The dispatched* helpers route the Opt flavor's O(n^3) builds and panel
-// products through the SIMD table (the scalar table is the Flavor::Opt
-// code, so resolved-scalar keeps the legacy call path — bit-identical and
-// without the fused kernel's clamp on a path that gains nothing) while the
-// Naive flavor always keeps the paper's baseline loop nests.
+// The dispatched* helpers are the one place the kernel rule lives: the
+// Naive flavor keeps the paper's baseline loop nests, every other call runs
+// on the resolved backend table.
 
 void BranchSiteLikelihood::dispatchedTransition(
     const expm::CodonEigenSystem& es, double t, Matrix& out) {
-  if (useSimdKernels())
-    es.transitionMatrix(t, options_.reconstruction, *kern_, expmWs_, out);
-  else
+  if (options_.flavor == linalg::Flavor::Naive)
     es.transitionMatrix(t, options_.reconstruction, options_.flavor, expmWs_,
                         out);
+  else
+    es.transitionMatrix(t, options_.reconstruction, *kern_, expmWs_, out);
 }
 
 void BranchSiteLikelihood::dispatchedDerivative(
     const expm::CodonEigenSystem& es, double t, Matrix& dp) {
-  if (useSimdKernels())
-    es.derivativeMatrix(t, *kern_, expmWs_, dp);
-  else
+  if (options_.flavor == linalg::Flavor::Naive)
     es.derivativeMatrix(t, options_.flavor, expmWs_, dp);
-}
-
-void BranchSiteLikelihood::dispatchedSymmetric(const expm::CodonEigenSystem& es,
-                                               double t, Matrix& out) {
-  if (useSimdKernels())
-    es.symmetricPropagator(t, *kern_, expmWs_, out);
   else
-    es.symmetricPropagator(t, options_.flavor, expmWs_, out);
+    es.derivativeMatrix(t, *kern_, expmWs_, dp);
 }
 
 void BranchSiteLikelihood::dispatchedGemm(ConstMatrixView a, ConstMatrixView b,
                                           MatrixView c) {
-  if (useSimdKernels())
-    linalg::gemm(*kern_, a, b, c);
-  else
+  if (options_.flavor == linalg::Flavor::Naive)
     linalg::gemm(options_.flavor, a, b, c);
-}
-
-void BranchSiteLikelihood::dispatchedFactoredPanel(const Matrix& yhat,
-                                                   ConstMatrixView w,
-                                                   MatrixView piW, MatrixView u,
-                                                   MatrixView out) {
-  if (useSimdKernels())
-    expm::applyFactoredPanel(yhat, pi_, w, *kern_, piW, u, out);
   else
-    expm::applyFactoredPanel(yhat, pi_, w, options_.flavor, piW, u, out);
-}
-
-void BranchSiteLikelihood::buildPropagator(const expm::CodonEigenSystem& es,
-                                           double t, Matrix& out) {
-  if (out.rows() != static_cast<std::size_t>(n_)) out.resize(n_, n_);
-  switch (options_.propagation) {
-    case PropagationStrategy::PerSiteGemv:
-      dispatchedTransition(es, t, out);
-      break;
-    case PropagationStrategy::BundledGemm:
-      // Stored *transposed*: the panel product W P^T then runs as the
-      // saxpy-form gemm W (P^T), which streams contiguous propagator rows
-      // with FMAs instead of doing horizontal-reduction dot products — much
-      // faster for large pattern panels.  The O(n^2) transpose is paid once
-      // per build and amortized over every pattern (and every cache hit).
-      if (transposeScratch_.rows() != static_cast<std::size_t>(n_))
-        transposeScratch_.resize(n_, n_);
-      dispatchedTransition(es, t, transposeScratch_);
-      linalg::transposeInto(transposeScratch_, out);
-      break;
-    case PropagationStrategy::SymmetricSymv:
-      dispatchedSymmetric(es, t, out);
-      break;
-    case PropagationStrategy::FactoredApply:
-      es.makeYhat(t, out);
-      break;
-  }
+    linalg::gemm(*kern_, a, b, c);
 }
 
 void BranchSiteLikelihood::adaptiveTransition(int eigenIdx, double t,
@@ -217,23 +159,24 @@ void BranchSiteLikelihood::adaptiveTransition(int eigenIdx, double t,
     if (out.data()[i] < 0.0) out.data()[i] = 0.0;
 }
 
-void BranchSiteLikelihood::buildAdaptivePropagator(int eigenIdx, double t,
-                                                   Matrix& out) {
+void BranchSiteLikelihood::buildPropagator(int eigenIdx, double t,
+                                           Matrix& out) {
   if (out.rows() != static_cast<std::size_t>(n_)) out.resize(n_, n_);
-  switch (options_.propagation) {
-    case PropagationStrategy::PerSiteGemv:
-      adaptiveTransition(eigenIdx, t, out);
-      break;
-    case PropagationStrategy::BundledGemm:
-      // Stored transposed, exactly like the eigen path (see buildPropagator).
-      if (transposeScratch_.rows() != static_cast<std::size_t>(n_))
-        transposeScratch_.resize(n_, n_);
-      adaptiveTransition(eigenIdx, t, transposeScratch_);
-      linalg::transposeInto(transposeScratch_, out);
-      break;
-    default:
-      SLIM_REQUIRE(false, "adaptive expm: unsupported propagation strategy");
-  }
+  // BundledGemm stores P *transposed*: the panel product W P^T then runs as
+  // the saxpy-form gemm W (P^T), which streams contiguous propagator rows
+  // with FMAs instead of doing horizontal-reduction dot products — much
+  // faster for large pattern panels.  The O(n^2) transpose is paid once per
+  // build and amortized over every pattern (and every cache hit).
+  const bool transposed =
+      options_.propagation == PropagationStrategy::BundledGemm;
+  if (transposed && transposeScratch_.rows() != static_cast<std::size_t>(n_))
+    transposeScratch_.resize(n_, n_);
+  Matrix& p = transposed ? transposeScratch_ : out;
+  if (options_.expm == backend::ExpmAlgorithm::Adaptive)
+    adaptiveTransition(eigenIdx, t, p);
+  else
+    dispatchedTransition(eigenSystems_[eigenIdx], t, p);
+  if (transposed) linalg::transposeInto(transposeScratch_, out);
 }
 
 const Matrix& BranchSiteLikelihood::propagator(int node, int omegaIdx) {
@@ -241,7 +184,6 @@ const Matrix& BranchSiteLikelihood::propagator(int node, int omegaIdx) {
   if (propPtr_[key]) return *propPtr_[key];
 
   const int eigenIdx = omegaToEigen_[omegaIdx];
-  const bool adaptive = options_.expm == backend::ExpmAlgorithm::Adaptive;
   const double t = propagatorLength(node);
 
   if (shard_) {
@@ -255,10 +197,7 @@ const Matrix& BranchSiteLikelihood::propagator(int node, int omegaIdx) {
           static_cast<std::size_t>(options_.cacheCapacity))
         shard_->flushNextEval = true;
       Matrix p;
-      if (adaptive)
-        buildAdaptivePropagator(eigenIdx, t, p);
-      else
-        buildPropagator(eigenSystems_[eigenIdx], t, p);
+      buildPropagator(eigenIdx, t, p);
       ++counters_.propagatorBuilds;
       ++counters_.propagatorCacheMisses;
       it = shard_->entries.emplace(ck, std::move(p)).first;
@@ -270,10 +209,7 @@ const Matrix& BranchSiteLikelihood::propagator(int node, int omegaIdx) {
   }
 
   Matrix& out = propCache_[key];
-  if (adaptive)
-    buildAdaptivePropagator(eigenIdx, t, out);
-  else
-    buildPropagator(eigenSystems_[eigenIdx], t, out);
+  buildPropagator(eigenIdx, t, out);
   ++counters_.propagatorBuilds;
   propPtr_[key] = &out;
   return out;
@@ -291,39 +227,14 @@ void BranchSiteLikelihood::propagateBranch(const Matrix& prop,
                                            ConstMatrixView childCpv,
                                            MatrixView out,
                                            PruneWorkspace& ws) {
-  const auto flavor = options_.flavor;
   const int rows = static_cast<int>(childCpv.rows());
-  switch (options_.propagation) {
-    case PropagationStrategy::PerSiteGemv: {
-      for (int h = 0; h < rows; ++h)
-        linalg::gemv(flavor, prop, childCpv.rowSpan(h), out.rowSpan(h));
-      break;
-    }
-    case PropagationStrategy::BundledGemm: {
-      // prop holds P^T, so out(h,i) = sum_j childCpv(h,j) P^T(j,i)
-      //  ==  (P w_h)_i for every h — one BLAS-3 panel product per branch,
-      // on the SIMD-dispatched saxpy gemm under the Opt flavor.
-      dispatchedGemm(childCpv, prop.view(), out);
-      break;
-    }
-    case PropagationStrategy::SymmetricSymv: {
-      // e^{Qt} w = M (Pi w) with M symmetric (Eq. 12).
-      for (int h = 0; h < rows; ++h) {
-        const double* w = childCpv.row(h);
-        for (int i = 0; i < n_; ++i) ws.vecTmp[i] = pi_[i] * w[i];
-        linalg::symv(flavor, prop, ws.vecTmp.span(), out.rowSpan(h));
-      }
-      // Clamp roundoff negatives (M is not elementwise non-negative).
-      for (std::size_t k = 0; k < out.size(); ++k)
-        if (out.data()[k] < 0.0) out.data()[k] = 0.0;
-      break;
-    }
-    case PropagationStrategy::FactoredApply: {
-      // out = ((W Pi) Yhat) Yhat^T, two rectangular gemms, no n x n product.
-      dispatchedFactoredPanel(prop, childCpv, ws.applyPiW.rowBlock(0, rows),
-                              ws.applyU.rowBlock(0, rows), out);
-      break;
-    }
+  if (options_.propagation == PropagationStrategy::PerSiteGemv) {
+    for (int h = 0; h < rows; ++h)
+      linalg::gemv(options_.flavor, prop, childCpv.rowSpan(h), out.rowSpan(h));
+  } else {
+    // prop holds P^T, so out(h,i) = sum_j childCpv(h,j) P^T(j,i)
+    //  ==  (P w_h)_i for every h — one BLAS-3 panel product per branch.
+    dispatchedGemm(childCpv, prop.view(), out);
   }
   ws.patternPropagations += rows;
 }
@@ -335,13 +246,8 @@ void BranchSiteLikelihood::pruneClassBlock(int m, int h0, int len,
     ws.nodeCpv.resize(numNodes);
     ws.nodeScaleLog.resize(numNodes);
   }
-  if (ws.tmp.rows() != static_cast<std::size_t>(blockMax_)) {
+  if (ws.tmp.rows() != static_cast<std::size_t>(blockMax_))
     ws.tmp.resize(blockMax_, n_);
-    ws.applyPiW.resize(blockMax_, n_);
-    ws.applyU.resize(blockMax_, n_);
-  }
-  if (ws.vecTmp.size() != static_cast<std::size_t>(n_))
-    ws.vecTmp.assign(n_, 0.0);
 
   const int root = tree_.root();
   const auto& cls = activeSpec_.classes[m];
@@ -446,13 +352,11 @@ void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
   omegaToEigen_.assign(numOmegas_, -1);
   for (int k = 0; k < numOmegas_; ++k) {
     int found = -1;
-    if (options_.cacheEigenByOmega) {
-      for (int j = 0; j < k; ++j)
-        if (spec.omegas[j] == spec.omegas[k]) {
-          found = omegaToEigen_[j];
-          break;
-        }
-    }
+    for (int j = 0; j < k; ++j)
+      if (spec.omegas[j] == spec.omegas[k]) {
+        found = omegaToEigen_[j];
+        break;
+      }
     if (found < 0) {
       if (adaptive) {
         Matrix q(n_, n_);
@@ -734,9 +638,10 @@ void BranchSiteLikelihood::buildGradientPropagators() {
       static_cast<std::size_t>(tree_.numNodes()) * numOmegas_;
   gradProp_.assign(propSlots, nullptr);
   gradPropT_.assign(propSlots, nullptr);
-  if (gradPropOwned_.size() < propSlots) gradPropOwned_.resize(propSlots);
-  if (gradPropTOwned_.size() < propSlots) gradPropTOwned_.resize(propSlots);
+  if (gradPropOther_.size() < propSlots) gradPropOther_.resize(propSlots);
   gradDerivT_.resize(propSlots);
+  const bool storedTransposed =
+      options_.propagation == PropagationStrategy::BundledGemm;
   Matrix dp(n_, n_);
   const bool adaptive = options_.expm == backend::ExpmAlgorithm::Adaptive;
   for (int node : branchNodes_) {
@@ -751,36 +656,15 @@ void BranchSiteLikelihood::buildGradientPropagators() {
       // propagated with, so gradient and objective describe one function.
       const double t = propagatorLength(node);
       // The evaluation's propagator table (still addressable — the gradient
-      // runs on the retained state of the last evaluation) already holds P^T
-      // under BundledGemm and P under PerSiteGemv: point at it and build
-      // only the other orientation.  The symmetric / factored strategies
-      // store M / Yhat, so reconstruct P for those.
-      const Matrix* stored = slot < propPtr_.size() ? propPtr_[slot] : nullptr;
-      Matrix& p = gradPropOwned_[slot];
-      Matrix& pT = gradPropTOwned_[slot];
-      if (stored && options_.propagation == PropagationStrategy::BundledGemm) {
-        if (p.rows() != static_cast<std::size_t>(n_)) p.resize(n_, n_);
-        linalg::transposeInto(*stored, p);
-        gradProp_[slot] = &p;
-        gradPropT_[slot] = stored;
-      } else if (stored &&
-                 options_.propagation == PropagationStrategy::PerSiteGemv) {
-        if (pT.rows() != static_cast<std::size_t>(n_)) pT.resize(n_, n_);
-        linalg::transposeInto(*stored, pT);
-        gradProp_[slot] = stored;
-        gradPropT_[slot] = &pT;
-      } else {
-        if (p.rows() != static_cast<std::size_t>(n_)) p.resize(n_, n_);
-        if (pT.rows() != static_cast<std::size_t>(n_)) pT.resize(n_, n_);
-        if (adaptive)
-          adaptiveTransition(eigenIdx, t, p);
-        else
-          dispatchedTransition(eigenSystems_[eigenIdx], t, p);
-        linalg::transposeInto(p, pT);
-        ++counters_.propagatorBuilds;
-        gradProp_[slot] = &p;
-        gradPropT_[slot] = &pT;
-      }
+      // runs on the retained state of the last evaluation) holds P^T under
+      // BundledGemm and P under PerSiteGemv: point at it and build only the
+      // other orientation.
+      const Matrix* stored = propPtr_[slot];
+      Matrix& other = gradPropOther_[slot];
+      if (other.rows() != static_cast<std::size_t>(n_)) other.resize(n_, n_);
+      linalg::transposeInto(*stored, other);
+      gradProp_[slot] = storedTransposed ? &other : stored;
+      gradPropT_[slot] = storedTransposed ? stored : &other;
       Matrix& dT = gradDerivT_[slot];
       if (dT.rows() != static_cast<std::size_t>(n_)) dT.resize(n_, n_);
       if (adaptive) {

@@ -45,7 +45,7 @@ namespace slim::lik {
 struct EvalCounters {
   std::int64_t evaluations = 0;           ///< logLikelihood calls
   std::int64_t eigenDecompositions = 0;   ///< symmetric eigenproblems solved
-  std::int64_t propagatorBuilds = 0;      ///< P(t) / dP(t) / M / Yhat constructions
+  std::int64_t propagatorBuilds = 0;      ///< P(t) / dP(t) constructions
   std::int64_t patternPropagations = 0;   ///< branch x class x pattern ops
   /// Analytic gradient sweeps (branch-only or full); each replaces the
   /// finite-difference evaluations of the coordinates it differentiates.
@@ -238,9 +238,6 @@ class BranchSiteLikelihood {
     std::vector<linalg::Matrix> nodeCpv;  // per node: blockMax x n
     std::vector<std::vector<double>> nodeScaleLog;  // per node: blockMax
     linalg::Matrix tmp;                   // propagation scratch (blockMax x n)
-    linalg::Matrix applyPiW;              // FactoredApply scratch
-    linalg::Matrix applyU;                // FactoredApply scratch
-    linalg::Vector vecTmp;                // symv scratch (n)
     std::int64_t patternPropagations = 0;
   };
 
@@ -280,9 +277,9 @@ class BranchSiteLikelihood {
   // every gradient entry point).  full == nullptr: branch lengths only.
   double gradientFromState(std::span<double> gradT, MixtureGradient* full);
 
-  // Point (P, P^T) at the propagators the evaluation stored where their
-  // layout permits (building the missing orientation), and build dP^T for
-  // every (branch node, omega) the active classes reference.
+  // Point (P, P^T) at the propagators the evaluation stored (building the
+  // other orientation), and build dP^T for every (branch node, omega) the
+  // active classes reference.
   void buildGradientPropagators();
 
   // Build (dP/dkappa)^T and (dP/domega)^T for every (branch node, eigen
@@ -328,31 +325,25 @@ class BranchSiteLikelihood {
   // Ensure the propagator for (branch node, omega class) is built.
   const linalg::Matrix& propagator(int node, int omegaIdx);
 
-  // Reconstruct the strategy's propagator (P, M or Yhat) at branch length t.
-  void buildPropagator(const expm::CodonEigenSystem& es, double t,
-                       linalg::Matrix& out);
+  // Build the strategy's propagator (P for per-site-gemv, P^T for
+  // bundled-gemm) of eigen system / rate matrix eigenIdx at branch length t,
+  // with the eigen reconstruction or, under expm = adaptive,
+  // adaptiveTransition.
+  void buildPropagator(int eigenIdx, double t, linalg::Matrix& out);
 
-  // Adaptive-expm counterparts (options_.expm == Adaptive): plain
-  // P(t) = e^{Q t} with the eigen path's roundoff-negative clamp, and the
-  // strategy-oriented store (P for per-site-gemv, P^T for bundled-gemm).
+  // expm = adaptive: plain P(t) = e^{Q t} with the eigen path's
+  // roundoff-negative clamp.
   void adaptiveTransition(int eigenIdx, double t, linalg::Matrix& out);
-  void buildAdaptivePropagator(int eigenIdx, double t, linalg::Matrix& out);
 
-  // SIMD-or-flavor dispatch, kept in one place so every routed call site
-  // follows the same rule (kern_ for Opt above scalar, legacy flavor path
-  // otherwise — see useSimdKernels()).
+  // Kernel dispatch, kept in one place so every routed call site follows
+  // the same rule: Flavor::Naive runs the CodeML baseline's loop nests,
+  // everything else the resolved backend table kern_.
   void dispatchedTransition(const expm::CodonEigenSystem& es, double t,
                             linalg::Matrix& out);
   void dispatchedDerivative(const expm::CodonEigenSystem& es, double t,
                             linalg::Matrix& dp);
-  void dispatchedSymmetric(const expm::CodonEigenSystem& es, double t,
-                           linalg::Matrix& out);
   void dispatchedGemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
                       linalg::MatrixView c);
-  void dispatchedFactoredPanel(const linalg::Matrix& yhat,
-                               linalg::ConstMatrixView w,
-                               linalg::MatrixView piW, linalg::MatrixView u,
-                               linalg::MatrixView out);
 
   // Propagate a panel of child CPVs through one branch (strategy dispatch).
   void propagateBranch(const linalg::Matrix& prop,
@@ -372,22 +363,14 @@ class BranchSiteLikelihood {
 
   // Compute-backend dispatch, resolved once at construction.  kern_ points
   // at backend_.ops, the selected function-pointer table; the reference
-  // (scalar) table is the same code Flavor::Opt runs, so routing through it
-  // never changes results.  Naive flavor keeps its own loop nests (kern_
-  // unused on that path).
+  // (scalar) table is the same code the Flavor::Opt kernels run, so
+  // `backend = reference` reproduces them bit for bit.  The Naive flavor's
+  // builds and panel products keep their own loop nests (the dispatched*
+  // helpers); the gradient's parameter tables and the adaptive expm use
+  // kern_, which resolves to reference there.
   linalg::SimdLevel simdLevel_ = linalg::SimdLevel::Scalar;
   backend::ComputeBackend backend_;
   const linalg::SimdKernels* kern_ = nullptr;
-
-  // True when the hot paths should go through kern_.  The Reference backend
-  // (what Auto resolves to at scalar SIMD) keeps the original Flavor::Opt
-  // call path instead — bit-identical either way (the scalar table is that
-  // code), but the legacy unfused reconstruction sequence avoids the fused
-  // kernel's per-element clamp on a path that gains nothing from dispatch.
-  bool useSimdKernels() const noexcept {
-    return options_.flavor == linalg::Flavor::Opt &&
-           backend_.kind != backend::BackendKind::Reference;
-  }
 
   int n_ = 0;             // codon states (61)
   int npat_ = 0;          // site patterns
@@ -429,12 +412,11 @@ class BranchSiteLikelihood {
   // Gradient-sweep propagator tables, (node x omega)-indexed like propPtr_
   // and rebuilt per gradient call (branch lengths move every iteration):
   // P for the outside recursion, P^T and dP^T for the row-major panel gemms.
-  // P and P^T point at the evaluation's stored propagator where it has that
-  // layout; the other orientation is built into the owned tables.
+  // One of P and P^T is the evaluation's stored propagator; the other
+  // orientation is its transpose, built into gradPropOther_.
   std::vector<const linalg::Matrix*> gradProp_;   // P
   std::vector<const linalg::Matrix*> gradPropT_;  // P^T
-  std::vector<linalg::Matrix> gradPropOwned_;     // P built here
-  std::vector<linalg::Matrix> gradPropTOwned_;    // P^T built here
+  std::vector<linalg::Matrix> gradPropOther_;
   std::vector<linalg::Matrix> gradDerivT_;  // (dP/dt)^T
   // Full-gradient tables: per eigen system, G_theta = U^T dA_theta U
   // (theta 0 = kappa, 1 = omega), and per (node, eigen system, theta) the

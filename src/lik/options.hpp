@@ -2,8 +2,11 @@
 // Likelihood-engine configuration.
 //
 // The paper's CodeML-vs-SlimCodeML comparison decomposes into three
-// orthogonal choices, each independently selectable here so that benches can
-// ablate them; the two named presets reproduce the paper's two systems.
+// orthogonal choices — kernel flavor, reconstruction path, propagation
+// strategy — each independently selectable here so that benches can ablate
+// them; the two named presets reproduce the paper's two systems.  Every
+// Flavor::Opt kernel call runs on the resolved compute backend's table
+// (`backend =`); Flavor::Naive keeps the CodeML baseline's own loop nests.
 
 #include "backend/compute_backend.hpp"
 #include "backend/expm_pade.hpp"
@@ -13,31 +16,20 @@
 
 namespace slim::lik {
 
-/// How P(t) (or its factors) is applied to the conditional probability
-/// vectors of all site patterns along one branch.
+/// How P(t) is applied to the conditional probability vectors of all site
+/// patterns along one branch — the one axis on which the paper's two
+/// systems differ in the pruning sweep.
 enum class PropagationStrategy {
   /// One gemv per site pattern (CodeML, Sec. III-B first paragraph).
   PerSiteGemv,
   /// One gemm over the whole pattern bundle (Sec. III-B "single matrix x
   /// matrix operation ... including all sites"; BLAS level 3).
   BundledGemm,
-  /// Eq. 12: form the symmetric M = Yhat Yhat^T once per branch, then one
-  /// symv per pattern on Pi w — "saves about half of the memory accesses".
-  SymmetricSymv,
-  /// Factored apply e^{Qt} W = Yhat (Yhat^T (Pi W)): two gemms per branch,
-  /// never forming an n x n propagator.  Wins when the pattern count is
-  /// small relative to n (skips the ~n^3 reconstruction entirely).
-  FactoredApply,
 };
 
 constexpr const char* propagationStrategyName(PropagationStrategy s) noexcept {
-  switch (s) {
-    case PropagationStrategy::PerSiteGemv: return "per-site-gemv";
-    case PropagationStrategy::BundledGemm: return "bundled-gemm";
-    case PropagationStrategy::SymmetricSymv: return "symmetric-symv";
-    case PropagationStrategy::FactoredApply: return "factored-apply";
-  }
-  return "?";
+  return s == PropagationStrategy::PerSiteGemv ? "per-site-gemv"
+                                               : "bundled-gemm";
 }
 
 struct LikelihoodOptions {
@@ -47,10 +39,6 @@ struct LikelihoodOptions {
   /// Rescale a pattern's conditional vector when its maximum drops below
   /// this (underflow protection for deep trees).
   double scalingThreshold = 1e-200;
-  /// Reuse the eigendecomposition across omega classes with equal omega
-  /// (under H0, omega2 == omega1 == 1: 2 decompositions instead of 3).
-  /// Shared by both presets so speedups isolate the paper's optimizations.
-  bool cacheEigenByOmega = true;
 
   // --- pattern-blocked parallel engine (post-paper extensions).  The
   // defaults reproduce the single-threaded, uncached behaviour bit for bit,
@@ -102,9 +90,7 @@ struct LikelihoodOptions {
   /// Propagator builder (`expm =` ctl key).  Eigen is the paper's
   /// symmetric-eigendecomposition pipeline (reversible Q only); Adaptive is
   /// the Higham–Al-Mohy scaling-and-squaring expm, correct for general rate
-  /// matrices and restricted to the per-site-gemv / bundled-gemm
-  /// propagation strategies (the symmetric/factored strategies are
-  /// artifacts of the eigen path).
+  /// matrices.  Both serve either propagation strategy.
   backend::ExpmAlgorithm expm = backend::ExpmAlgorithm::Eigen;
 };
 
@@ -112,14 +98,14 @@ struct LikelihoodOptions {
 /// per-site matrix x vector propagation.
 constexpr LikelihoodOptions codemlBaselineOptions() noexcept {
   return {linalg::Flavor::Naive, expm::ReconstructionPath::Gemm,
-          PropagationStrategy::PerSiteGemv, 1e-200, true};
+          PropagationStrategy::PerSiteGemv, 1e-200};
 }
 
 /// SlimCodeML as evaluated in the paper: tuned kernels, Eq. 10 dsyrk
 /// reconstruction, per-site propagation bundled into BLAS-3.
 constexpr LikelihoodOptions slimOptions() noexcept {
   return {linalg::Flavor::Opt, expm::ReconstructionPath::Syrk,
-          PropagationStrategy::BundledGemm, 1e-200, true};
+          PropagationStrategy::BundledGemm, 1e-200};
 }
 
 /// The production preset: the slim kernels plus every post-paper lever —

@@ -79,33 +79,4 @@ void gemvT(Flavor flavor, const Matrix& a, std::span<const double> x,
   }
 }
 
-void symv(Flavor flavor, const Matrix& a, std::span<const double> x,
-          std::span<double> y) {
-  SLIM_REQUIRE(a.square(), "symv: matrix must be square");
-  SLIM_REQUIRE(x.size() == a.cols() && y.size() == a.rows(),
-               "symv: dimension mismatch");
-  const std::size_t n = a.rows();
-  if (flavor == Flavor::Naive) {
-    // Treats A as a general matrix: full n^2 traversal.
-    gemvNaive(a, x.data(), y.data(), 1.0, 0.0);
-    return;
-  }
-  // Opt: single pass over the upper triangle; each a_ij (i < j) contributes
-  // to both y_i and y_j, halving memory traffic relative to gemv.
-  const double* SLIM_RESTRICT xp = x.data();
-  double* SLIM_RESTRICT yp = y.data();
-  for (std::size_t i = 0; i < n; ++i) yp[i] = a(i, i) * xp[i];
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* SLIM_RESTRICT row = a.row(i);
-    const double xi = xp[i];
-    double acc = 0.0;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double aij = row[j];
-      acc += aij * xp[j];
-      yp[j] += aij * xi;
-    }
-    yp[i] += acc;
-  }
-}
-
 }  // namespace slim::linalg

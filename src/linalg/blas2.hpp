@@ -2,8 +2,7 @@
 // BLAS level-2 style kernels (matrix-vector).
 //
 // gemv is the per-site conditional-probability-vector propagation kernel of
-// CodeML (Sec. III-B of the paper); symv is the symmetric variant enabled by
-// Eq. 12-13 of the paper, which halves memory traffic.
+// CodeML (Sec. III-B of the paper).
 
 #include <span>
 
@@ -20,11 +19,5 @@ void gemv(Flavor flavor, const Matrix& a, std::span<const double> x,
 /// y := alpha * A^T * x + beta * y.  x must have size rows, y size cols.
 void gemvT(Flavor flavor, const Matrix& a, std::span<const double> x,
            std::span<double> y, double alpha = 1.0, double beta = 0.0);
-
-/// y := A * x for symmetric A (full storage, both triangles present and
-/// equal).  The Opt flavor reads only the upper triangle — one pass over
-/// n(n+1)/2 elements instead of n^2, the memory-traffic saving of Eq. 12.
-void symv(Flavor flavor, const Matrix& a, std::span<const double> x,
-          std::span<double> y);
 
 }  // namespace slim::linalg

@@ -18,10 +18,10 @@ void gemmNaive(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
     }
 }
 
-// The scalar SIMD table holds the optimized (saxpy gemm / dot gemmNT /
-// mirrored syrk) loop nests on raw pointers; the Flavor::Opt overloads
-// delegate to it so the "opt kernel" and the simd = scalar reference are
-// one implementation, bit for bit.
+// The scalar SIMD table holds the optimized (saxpy gemm / dot gemmNT) loop
+// nests on raw pointers; the Flavor::Opt overloads (syrk included, through
+// gemmNT's row dots) delegate to it so the "opt kernel" and the
+// simd = scalar reference are one implementation, bit for bit.
 const SimdKernels& scalarKernels() {
   static const SimdKernels& k = simdKernels(SimdLevel::Scalar);
   return k;
@@ -88,8 +88,14 @@ void syrk(Flavor flavor, const Matrix& y, Matrix& c) {
     gemmNTNaive(y.view(), y.view(), c.view());
     return;
   }
-  // Upper triangle only (n^2 k flops), then mirror — the dsyrk trick.
-  scalarKernels().syrk(y.data(), c.data(), y.rows(), y.cols());
+  // Upper triangle only (n^2 k flops), then mirror — the dsyrk trick.  Row
+  // i of the triangle is the dot-form product of y_i with rows i..n-1, the
+  // same dots the fused scalar syrkSandwich forms.
+  const std::size_t n = y.rows(), k = y.cols();
+  for (std::size_t i = 0; i < n; ++i)
+    scalarKernels().gemmNT(y.row(i), y.row(i), c.row(i) + i, 1, k, n - i);
+  for (std::size_t i = 1; i < n; ++i)
+    for (std::size_t j = 0; j < i; ++j) c(i, j) = c(j, i);
 }
 
 void gemm(const SimdKernels& kern, ConstMatrixView a, ConstMatrixView b,
@@ -110,13 +116,6 @@ void gemmNT(const SimdKernels& kern, ConstMatrixView a, ConstMatrixView b,
   SLIM_REQUIRE(c.data() != a.data() && c.data() != b.data(),
                "gemmNT: output must not alias inputs");
   kern.gemmNT(a.data(), b.data(), c.data(), a.rows(), a.cols(), b.rows());
-}
-
-void syrk(const SimdKernels& kern, const Matrix& y, Matrix& c) {
-  SLIM_REQUIRE(c.rows() == y.rows() && c.cols() == y.rows(),
-               "syrk: output shape mismatch");
-  SLIM_REQUIRE(&c != &y, "syrk: output must not alias input");
-  kern.syrk(y.data(), c.data(), y.rows(), y.cols());
 }
 
 }  // namespace slim::linalg

@@ -44,6 +44,5 @@ void gemm(const SimdKernels& kern, ConstMatrixView a, ConstMatrixView b,
           MatrixView c);
 void gemmNT(const SimdKernels& kern, ConstMatrixView a, ConstMatrixView b,
             MatrixView c);
-void syrk(const SimdKernels& kern, const Matrix& y, Matrix& c);
 
 }  // namespace slim::linalg

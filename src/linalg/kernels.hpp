@@ -10,7 +10,7 @@
 //                   per-element gemv, no blocking, no restrict).
 //   Flavor::Opt   — cache- and vectorizer-friendly implementations (saxpy-
 //                   form gemm, k-blocking, __restrict pointers, symmetric
-//                   rank-k and symv kernels that exploit structure).
+//                   rank-k kernels that exploit structure).
 //
 // Every kernel produces identical results up to floating-point reassociation;
 // tests assert agreement to tight tolerances.

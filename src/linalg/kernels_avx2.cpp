@@ -111,18 +111,6 @@ void gemmNTAvx2(const double* SLIM_RESTRICT a, const double* SLIM_RESTRICT b,
   }
 }
 
-void syrkAvx2(const double* SLIM_RESTRICT y, double* SLIM_RESTRICT c,
-              std::size_t n, std::size_t kk) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* SLIM_RESTRICT yi = y + i * kk;
-    for (std::size_t j = i; j < n; ++j) {
-      const double t = dotAvx2(yi, y + j * kk, kk);
-      c[i * n + j] = t;
-      c[j * n + i] = t;
-    }
-  }
-}
-
 void syrkSandwichAvx2(const double* SLIM_RESTRICT y,
                       const double* SLIM_RESTRICT l,
                       const double* SLIM_RESTRICT r, double* SLIM_RESTRICT p,
@@ -157,8 +145,7 @@ void gemmNTSandwichAvx2(const double* SLIM_RESTRICT a,
 }
 
 constexpr SimdKernels kAvx2Kernels{
-    "avx2",       gemmAvx2,         gemmNTAvx2,
-    syrkAvx2,     syrkSandwichAvx2, gemmNTSandwichAvx2,
+    "avx2", gemmAvx2, gemmNTAvx2, syrkSandwichAvx2, gemmNTSandwichAvx2,
 };
 
 }  // namespace

@@ -116,18 +116,6 @@ void gemmNTAvx512(const double* SLIM_RESTRICT a, const double* SLIM_RESTRICT b,
   }
 }
 
-void syrkAvx512(const double* SLIM_RESTRICT y, double* SLIM_RESTRICT c,
-                std::size_t n, std::size_t kk) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* SLIM_RESTRICT yi = y + i * kk;
-    for (std::size_t j = i; j < n; ++j) {
-      const double t = dotAvx512(yi, y + j * kk, kk);
-      c[i * n + j] = t;
-      c[j * n + i] = t;
-    }
-  }
-}
-
 void syrkSandwichAvx512(const double* SLIM_RESTRICT y,
                         const double* SLIM_RESTRICT l,
                         const double* SLIM_RESTRICT r, double* SLIM_RESTRICT p,
@@ -162,8 +150,8 @@ void gemmNTSandwichAvx512(const double* SLIM_RESTRICT a,
 }
 
 constexpr SimdKernels kAvx512Kernels{
-    "avx512",     gemmAvx512,         gemmNTAvx512,
-    syrkAvx512,   syrkSandwichAvx512, gemmNTSandwichAvx512,
+    "avx512",           gemmAvx512,          gemmNTAvx512,
+    syrkSandwichAvx512, gemmNTSandwichAvx512,
 };
 
 }  // namespace

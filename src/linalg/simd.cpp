@@ -12,11 +12,12 @@ namespace {
 // --- scalar reference kernels -------------------------------------------
 //
 // These are the Flavor::Opt loop nests of blas3.cpp on raw pointers (the
-// Opt overloads delegate here, so "scalar table" and "Opt flavor" are the
-// same machine code).  The fused variants keep the exact association of the
-// unfused sequence — dot accumulated in four partials, then
-// (l[i] * dot) * r[j] as in scaleSandwich's li * z * r[j] — so fused and
-// unfused scalar reconstructions are bit-identical.
+// Opt overloads delegate here — syrk through gemmNT's row dots — so "scalar
+// table" and "Opt flavor" are the same machine code).  The fused variants
+// keep the exact association of the unfused sequence — dot accumulated in
+// four partials, then (l[i] * dot) * r[j] as in scaleSandwich's
+// li * z * r[j] — so fused and unfused scalar reconstructions are
+// bit-identical.
 
 void gemmScalar(const double* SLIM_RESTRICT a, const double* SLIM_RESTRICT b,
                 double* SLIM_RESTRICT c, std::size_t m, std::size_t kk,
@@ -69,17 +70,6 @@ void gemmNTScalar(const double* SLIM_RESTRICT a, const double* SLIM_RESTRICT b,
   }
 }
 
-void syrkScalar(const double* SLIM_RESTRICT y, double* SLIM_RESTRICT c,
-                std::size_t n, std::size_t kk) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* SLIM_RESTRICT yi = y + i * kk;
-    double* SLIM_RESTRICT crow = c + i * n;
-    for (std::size_t j = i; j < n; ++j) crow[j] = dotScalar(yi, y + j * kk, kk);
-  }
-  for (std::size_t i = 1; i < n; ++i)
-    for (std::size_t j = 0; j < i; ++j) c[i * n + j] = c[j * n + i];
-}
-
 void syrkSandwichScalar(const double* SLIM_RESTRICT y,
                         const double* SLIM_RESTRICT l,
                         const double* SLIM_RESTRICT r, double* SLIM_RESTRICT p,
@@ -114,8 +104,8 @@ void gemmNTSandwichScalar(const double* SLIM_RESTRICT a,
 }
 
 constexpr SimdKernels kScalarKernels{
-    "scalar",          gemmScalar,         gemmNTScalar,
-    syrkScalar,        syrkSandwichScalar, gemmNTSandwichScalar,
+    "scalar",           gemmScalar,           gemmNTScalar,
+    syrkSandwichScalar, gemmNTSandwichScalar,
 };
 
 bool cpuSupports(SimdLevel level) noexcept {

@@ -1,19 +1,20 @@
 #pragma once
-// Runtime-dispatched SIMD kernel layer (AVX2 / AVX-512) behind Flavor::Opt.
+// Runtime-dispatched SIMD kernel layer (AVX2 / AVX-512): the table every
+// Flavor::Opt build and panel product of the likelihood engine runs on.
 //
 // The scalar Opt kernels in blas3.cpp are compiled for the generic target
 // (SSE2 on x86-64), so the vectorizer leaves half the machine idle on any
 // AVX-capable host.  This layer provides hand-vectorized variants of the
-// three hot likelihood panels — the saxpy-form panel gemm, the dot-form
-// gemmNT/syrk, and the eigen-reconstruction with the Pi^{-1/2}/Pi^{1/2}
-// sandwich *fused* into the rank-update loop — selected once at evaluator
+// hot likelihood panels — the saxpy-form panel gemm, the dot-form gemmNT,
+// and the Eq. 9 / Eq. 10 eigen-reconstructions with the Pi^{-1/2}/Pi^{1/2}
+// sandwich *fused* into the product loop — selected once at evaluator
 // construction through a cpuid-checked function-pointer table.
 //
 // Contract (asserted by tests/simd_kernel_test.cpp):
 //   * SimdLevel::Scalar is the bit-exact reference: its table entries are
 //     the same code the Flavor::Opt kernels run, and the fused scalar
-//     reconstruction reproduces the unfused syrk + scaleSandwich + clamp
-//     sequence bit for bit.
+//     reconstructions reproduce the unfused Flavor::Opt syrk/gemmNT +
+//     scaleSandwich + clamp sequences bit for bit.
 //   * Every SIMD level is deterministic per row of output — results are
 //     bit-identical across thread counts and pattern-block sizes — and
 //     agrees with scalar to <= 1e-10 relative on the log-likelihood.
@@ -78,9 +79,6 @@ struct SimdKernels {
   /// c[m x n] := a[m x k] * b[n x k]^T  (dot form over contiguous rows).
   void (*gemmNT)(const double* a, const double* b, double* c, std::size_t m,
                  std::size_t k, std::size_t n);
-
-  /// c[n x n] := y[n x k] * y^T, upper triangle computed once and mirrored.
-  void (*syrk)(const double* y, double* c, std::size_t n, std::size_t k);
 
   /// Fused Eq. 10 reconstruction: p := diag(l) (Y Y^T) diag(r) with
   /// roundoff negatives clamped to 0, the Pi sandwich and clamp folded into

@@ -69,7 +69,7 @@ NelderMeadResult minimizeNelderMead(ObjectiveFunction& f,
 
   std::vector<std::size_t> order(n + 1);
   std::vector<double> centroid(n);
-  std::vector<std::vector<double>> pair(2, std::vector<double>(n));
+  std::vector<double> xr(n), xe(n);
   std::vector<double> xc(n);
 
   const auto snapshot = [&](int completedIterations) {
@@ -114,36 +114,18 @@ NelderMeadResult minimizeNelderMead(ObjectiveFunction& f,
     }
     for (std::size_t i = 0; i < n; ++i) centroid[i] /= static_cast<double>(n);
 
-    // Reflection, with the expansion point evaluated speculatively in the
-    // same batch when the objective fans points across workers (a free
-    // second probe there; a wasted evaluation on a sequential objective, so
-    // only then).  Either way the expansion value is only *consumed* when
-    // the reflection beats the best vertex, exactly as in the sequential
-    // algorithm — the trajectory is identical.
-    std::vector<double>& xr = pair[0];
-    std::vector<double>& xe = pair[1];
+    // Reflection; the expansion point is evaluated only when the reflection
+    // beats the best vertex.
     for (std::size_t i = 0; i < n; ++i) {
       xr[i] = centroid[i] + kAlpha * (centroid[i] - vertex[worst][i]);
       xe[i] = centroid[i] + kGamma * (xr[i] - centroid[i]);
     }
-    const bool speculate = f.batchEvaluationProfitable();
-    double fr, fe;
-    if (speculate) {
-      const std::vector<double> pairValues = f.evaluateMany(pair);
-      res.functionEvaluations += 2;
-      fr = sanitize(pairValues[0]);
-      fe = sanitize(pairValues[1]);
-    } else {
-      fr = sanitize(f.value(xr));
-      ++res.functionEvaluations;
-      fe = 0;  // evaluated below only if the reflection wins
-    }
+    const double fr = sanitize(f.value(xr));
+    ++res.functionEvaluations;
 
     if (fr < fv[best]) {
-      if (!speculate) {
-        fe = sanitize(f.value(xe));
-        ++res.functionEvaluations;
-      }
+      const double fe = sanitize(f.value(xe));
+      ++res.functionEvaluations;
       if (fe < fr) {
         vertex[worst] = xe;
         fv[worst] = fe;

@@ -8,14 +8,10 @@
 // phylogenetics packages ship both; this one doubles as an independent
 // optimizer to cross-check BFGS results in tests.
 //
-// Candidate points are batched through ObjectiveFunction::evaluateMany: the
-// initial simplex, the shrink step, and — for objectives whose
-// batchEvaluationProfitable() says points actually fan across workers — the
-// reflection/expansion pair, with the expansion point evaluated
-// speculatively alongside the reflection (a free second probe there; on
-// sequential objectives it stays lazy).  The accept/reject logic consumes
-// the values exactly as the sequential algorithm would, so the trajectory
-// is unchanged either way.
+// The initial simplex and the shrink step are batched through
+// ObjectiveFunction::evaluateMany; the reflection, expansion and contraction
+// points are evaluated one at a time, the expansion only when the
+// reflection beats the best vertex.
 
 #include <string>
 

@@ -10,17 +10,15 @@
 //
 //   * value(x)                 — one objective evaluation (the old contract);
 //   * evaluateMany(points)     — batched multi-point evaluation.  The default
-//     is a sequential value() loop; implementations may fan the points across
-//     workers (core::LikelihoodObjective runs one single-threaded evaluator
-//     per worker), but must return exactly the values the sequential loop
+//     is a sequential value() loop; an override may evaluate the points
+//     concurrently, but must return exactly the values the sequential loop
 //     would — bit for bit — so batching never changes an optimization
 //     trajectory;
 //   * valueAndGradient(x, g)   — the gradient, reporting through
 //     GradientResult *which* coordinates carried analytic derivatives and how
 //     many objective evaluations / analytic sweeps the computation consumed.
 //     The default implementation is finite differences routed through
-//     evaluateMany, so a batching objective parallelizes FD gradients with no
-//     optimizer changes.
+//     evaluateMany.
 //
 // minimizeBfgs / minimizeNelderMead consume this interface; legacy
 // std::function objectives are adapted by CallableObjective (or the
@@ -75,11 +73,6 @@ class ObjectiveFunction {
   /// the sequential value() loop.
   virtual std::vector<double> evaluateMany(
       const std::vector<std::vector<double>>& points);
-
-  /// Whether evaluateMany actually runs points concurrently (so callers may
-  /// add speculative points for free) rather than falling back to the
-  /// sequential loop, where every speculative point costs a full evaluation.
-  virtual bool batchEvaluationProfitable() const { return false; }
 
   /// Fill grad with the gradient of f at x and return what was done.  The
   /// default finite-differences every coordinate through evaluateMany.

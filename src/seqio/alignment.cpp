@@ -180,6 +180,7 @@ CodonAlignment encodeCodons(const Alignment& aln, const bio::GeneticCode& gc,
   aln.validate(/*codon=*/true);
   CodonAlignment ca;
   ca.code = &gc;
+  ca.source = aln.source();
   const std::size_t nsites = aln.length() / 3;
   for (const auto& s : aln.sequences()) {
     ca.names.push_back(s.name);

@@ -85,6 +85,8 @@ struct CodonAlignment {
   std::vector<std::string> names;
   /// states[s][i] = sense codon state of sequence s at codon site i.
   std::vector<std::vector<int>> states;
+  /// The input's name used in error messages (Alignment::source()).
+  std::string source = "alignment";
 
   std::size_t numSequences() const noexcept { return states.size(); }
   std::size_t numSites() const noexcept {

@@ -124,18 +124,20 @@ namespace {
 
 class NewickParser {
  public:
-  explicit NewickParser(std::string_view text) : text_(text) {}
+  NewickParser(std::string_view text, std::string_view source)
+      : text_(text), source_(source) {}
 
   Tree parse() {
     Tree t;
     skipSpace();
     parseSubtree(t, kNoParent);
     skipSpace();
-    SLIM_REQUIRE(!atEnd() && peek() == ';', "newick: missing terminating ';'");
+    if (atEnd() || peek() != ';') fail("missing terminating ';'");
     ++pos_;
     skipSpace();
-    SLIM_REQUIRE(atEnd(), "newick: trailing characters after ';'");
+    if (!atEnd()) fail("trailing characters after ';'");
     t.finalize();
+    if (t.numLeaves() < 2) fail("a tree needs at least 2 leaves");
     t.validate();
     return t;
   }
@@ -149,7 +151,8 @@ class NewickParser {
   }
 
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("newick parse error at position " +
+    throw std::invalid_argument(std::string(source_) +
+                                ": newick parse error at position " +
                                 std::to_string(pos_) + ": " + what);
   }
 
@@ -189,16 +192,15 @@ class NewickParser {
         // Range-check while still a double: an out-of-int-range (or NaN)
         // value must be rejected here, not cast (which would be UB).
         const double m = parseNumber();
-        SLIM_REQUIRE(m >= 0.0 && m <= kMaxMark,
-                     "newick: mark must be an integer in [0, 100000]");
+        if (!(m >= 0.0 && m <= kMaxMark) ||
+            static_cast<double>(static_cast<int>(m)) != m)
+          fail("mark must be an integer in [0, 100000]");
         mark = static_cast<int>(m);
-        SLIM_REQUIRE(static_cast<double>(mark) == m,
-                     "newick: mark must be an integer in [0, 100000]");
       } else if (!atEnd() && peek() == ':') {
         ++pos_;
         length = parseNumber();
-        SLIM_REQUIRE(length >= 0.0 && std::isfinite(length),
-                     "newick: branch length must be finite and non-negative");
+        if (!(length >= 0.0 && std::isfinite(length)))
+          fail("branch length must be finite and non-negative");
       } else {
         return;
       }
@@ -232,7 +234,7 @@ class NewickParser {
         }
         fail("expected ',' or ')'");
       }
-      SLIM_REQUIRE(childCount >= 2, "newick: internal node with <2 children");
+      if (childCount < 2) fail("internal node with fewer than 2 children");
       // Optional internal label, then suffixes.
       skipSpace();
       std::string label = parseName();
@@ -246,7 +248,7 @@ class NewickParser {
     }
     // Leaf.
     std::string name = parseName();
-    SLIM_REQUIRE(!name.empty(), "newick: leaf with empty name");
+    if (name.empty()) fail("leaf with empty name");
     double length = 0.0;
     int mark = 0;
     parseSuffixes(length, mark);
@@ -257,6 +259,7 @@ class NewickParser {
   static constexpr double kMaxMark = 100000.0;
 
   std::string_view text_;
+  std::string_view source_;
   std::size_t pos_ = 0;
 };
 
@@ -277,8 +280,10 @@ void writeNewick(const Tree& t, int id, bool includeMarks, std::ostream& os) {
 
 }  // namespace
 
-Tree Tree::parseNewick(std::string_view newick) {
-  return NewickParser(newick).parse();
+Tree Tree::parseNewick(std::string_view newick, std::string_view source) {
+  Tree t = NewickParser(newick, source).parse();
+  t.source_ = source;
+  return t;
 }
 
 std::string Tree::toNewick(bool includeMarks) const {

@@ -36,8 +36,14 @@ class Tree {
   /// Parse a Newick string, e.g. "((a:0.1,b:0.2):0.05 #1,c:0.3);".
   /// Supported label syntax: name, name:length, name#mark, name#mark:length,
   /// and marks after closing parentheses for internal branches.
-  /// Throws std::invalid_argument on malformed input.
-  static Tree parseNewick(std::string_view newick);
+  /// Throws std::invalid_argument on malformed input, with a message that
+  /// starts with `source` (pass the file path) and names the offending
+  /// position.
+  static Tree parseNewick(std::string_view newick,
+                          std::string_view source = "Newick input");
+
+  /// The input's name used in error messages (set by parseNewick).
+  const std::string& source() const noexcept { return source_; }
 
   /// Serialize back to Newick.  Branch lengths are always written; marks are
   /// written as " #k" when nonzero and includeMarks is true.
@@ -95,6 +101,7 @@ class Tree {
   std::vector<int> postOrder_;
   int root_ = kNoParent;
   int numLeaves_ = 0;
+  std::string source_ = "tree";
 };
 
 }  // namespace slim::tree

@@ -115,7 +115,6 @@ TEST(BackendPlumbing, DescriptorCarriesMatchingTable) {
     EXPECT_STREQ(be.name, backendKindName(kind));
     ASSERT_NE(be.ops.gemm, nullptr);
     ASSERT_NE(be.ops.gemmNT, nullptr);
-    ASSERT_NE(be.ops.syrk, nullptr);
     ASSERT_NE(be.ops.syrkSandwich, nullptr);
     ASSERT_NE(be.ops.gemmNTSandwich, nullptr);
   }
@@ -136,19 +135,16 @@ TEST(BackendKernels, PanelsMatchReferenceOnEveryBackend) {
   const Matrix a = randomMatrix(m, k, 101);
   const Matrix b = randomMatrix(k, n, 103);
   const Matrix bt = randomMatrix(n, k, 107);
-  const Matrix y = randomMatrix(n, k, 109);
   const auto& ref = linalg::simdKernels(linalg::SimdLevel::Scalar);
-  Matrix wantGemm(m, n), wantNT(m, n), wantSyrk(n, n);
+  Matrix wantGemm(m, n), wantNT(m, n);
   ref.gemm(a.data(), b.data(), wantGemm.data(), m, k, n);
   ref.gemmNT(a.data(), bt.data(), wantNT.data(), m, k, n);
-  ref.syrk(y.data(), wantSyrk.data(), n, k);
 
   for (const BackendKind kind : availableBackends()) {
     const ComputeBackend be = computeBackend(kind, linalg::detectSimdLevel());
-    Matrix gotGemm(m, n), gotNT(m, n), gotSyrk(n, n);
+    Matrix gotGemm(m, n), gotNT(m, n);
     be.ops.gemm(a.data(), b.data(), gotGemm.data(), m, k, n);
     be.ops.gemmNT(a.data(), bt.data(), gotNT.data(), m, k, n);
-    be.ops.syrk(y.data(), gotSyrk.data(), n, k);
     for (std::size_t i = 0; i < wantGemm.size(); ++i) {
       const double scale = std::max(1.0, std::fabs(wantGemm.data()[i]));
       EXPECT_NEAR(gotGemm.data()[i], wantGemm.data()[i], 1e-12 * scale)
@@ -158,11 +154,6 @@ TEST(BackendKernels, PanelsMatchReferenceOnEveryBackend) {
       const double scale = std::max(1.0, std::fabs(wantNT.data()[i]));
       EXPECT_NEAR(gotNT.data()[i], wantNT.data()[i], 1e-12 * scale)
           << be.name << " gemmNT element " << i;
-    }
-    for (std::size_t i = 0; i < wantSyrk.size(); ++i) {
-      const double scale = std::max(1.0, std::fabs(wantSyrk.data()[i]));
-      EXPECT_NEAR(gotSyrk.data()[i], wantSyrk.data()[i], 1e-12 * scale)
-          << be.name << " syrk element " << i;
     }
   }
 }
@@ -426,8 +417,7 @@ TEST(BackendLikelihood, EveryAvailableBackendWithin1e10OfReference) {
   const Fixture f = makeFixture();
   const BranchSiteParams p = testParams();
   for (const auto strategy :
-       {PropagationStrategy::BundledGemm, PropagationStrategy::FactoredApply,
-        PropagationStrategy::PerSiteGemv}) {
+       {PropagationStrategy::BundledGemm, PropagationStrategy::PerSiteGemv}) {
     LikelihoodOptions refOpts =
         optionsWith(BackendMode::Reference, linalg::SimdMode::Scalar);
     refOpts.propagation = strategy;
@@ -530,17 +520,6 @@ TEST(AdaptiveLikelihood, BitIdenticalAcrossThreadsAndBlocks) {
       EXPECT_EQ(eval.logLikelihood(p), want)
           << "threads = " << threads << " blockSize = " << blockSize;
     }
-  }
-}
-
-TEST(AdaptiveLikelihood, EigenOnlyStrategiesRefuseAdaptive) {
-  const Fixture f = makeFixture();
-  for (const auto strategy : {PropagationStrategy::SymmetricSymv,
-                              PropagationStrategy::FactoredApply}) {
-    EXPECT_THROW(BranchSiteLikelihood(f.alignment, f.patterns, f.pi, f.tree,
-                                      Hypothesis::H1,
-                                      adaptiveOptions(strategy)),
-                 std::invalid_argument);
   }
 }
 

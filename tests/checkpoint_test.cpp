@@ -791,8 +791,8 @@ TEST(ConfigHash, KeysTrajectoryShapingSettingsOnly) {
 
 TEST(ConfigHash, AnalyticRevisionRefusesOldCheckpoints) {
   // Hashes of this configuration before the analytic gradient became fully
-  // analytic (revision 1): fd and fd-parallel trajectories did not change,
-  // so their hashes must not either; the analytic one must.
+  // analytic (revision 1): fd trajectories did not change, so its hash must
+  // not either; the analytic one must.
   Config base;
   base.seqfile = "a.fasta";
   base.seqfiles = {"a.fasta"};
@@ -804,7 +804,6 @@ TEST(ConfigHash, AnalyticRevisionRefusesOldCheckpoints) {
     return checkpointConfigHash(c);
   };
   EXPECT_EQ(hashFor(GradientMode::FiniteDiff), 0x155d8074f80f6369ull);
-  EXPECT_EQ(hashFor(GradientMode::ParallelFiniteDiff), 0xb90bb556f581cb29ull);
   constexpr std::uint64_t kAnalyticRevision1 = 0x98e21436243c9d7cull;
   const std::uint64_t analytic = hashFor(GradientMode::Analytic);
   EXPECT_NE(analytic, kAnalyticRevision1);

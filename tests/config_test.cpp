@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "core/config.hpp"
 
@@ -59,14 +61,24 @@ TEST(ConfigParse, GradientModes) {
   EXPECT_EQ(Config::parseString(std::string(base) + "fd\n")
                 .fit.tuning.gradient,
             GradientMode::FiniteDiff);
-  EXPECT_EQ(Config::parseString(std::string(base) + "fd-parallel\n")
-                .fit.tuning.gradient,
-            GradientMode::ParallelFiniteDiff);
   EXPECT_EQ(Config::parseString(std::string(base) + "analytic\n")
                 .fit.tuning.gradient,
             GradientMode::Analytic);
   EXPECT_THROW(Config::parseString(std::string(base) + "newton\n"),
                std::invalid_argument);
+}
+
+TEST(ConfigParse, RemovedFdParallelNamesTheReplacements) {
+  try {
+    Config::parseString("seqfile = s\ntreefile = t\ngradient = fd-parallel\n");
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("fd-parallel"), std::string::npos) << what;
+    EXPECT_NE(what.find("'analytic'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'fd'"), std::string::npos) << what;
+  }
 }
 
 TEST(ConfigParse, Errors) {
@@ -295,6 +307,65 @@ TEST_F(ConfigRun, SiteModelEndToEnd) {
   std::remove(fasta.c_str());
   std::remove(nwk.c_str());
   std::remove(ctl.c_str());
+}
+
+// Bad inputs fail with a message that names the input file and the
+// offending leaf, position or key — never a source path or a C++ condition.
+TEST_F(ConfigRun, InputErrorsNameTheInput) {
+  const std::string fasta = path("in.fasta");
+  const std::string twoFasta = path("in2.fasta");
+  write(fasta,
+        ">a\nATGGCTAAATTTCCC\n>b\nATGGCTAAATTCCCC\n"
+        ">c\nATGGCAAAATTTCCG\n>d\nATGGTTAAGTTTCCA\n");
+  write(twoFasta, ">a\nATGGCTAAATTTCCC\n>b\nATGGCTAAATTCCCC\n");
+  struct Case {
+    const char* name;
+    std::string seqfile;
+    const char* newick;  // nullptr: the tree file is never written
+    std::vector<std::string> expected;
+  };
+  const std::vector<Case> cases = {
+      {"leaf missing from the alignment", fasta,
+       "((a:0.1,chimpx:0.2) #1:0.1,(c:0.3,d:0.1):0.05);",
+       {"leaf 'chimpx'", "in.fasta"}},
+      {"negative branch length", fasta,
+       "((a:0.1,b:-0.2) #1:0.1,(c:0.3,d:0.1):0.05);",
+       {"position", "branch length"}},
+      {"no terminating ';'", fasta,
+       "((a:0.1,b:0.2) #1:0.1,(c:0.3,d:0.1):0.05)", {"position", "';'"}},
+      {"missing tree file", fasta, nullptr, {"cannot open tree file"}},
+      {"two leaves, no mark", twoFasta, "(a:0.1,b:0.2);",
+       {"no branch is marked"}},
+      {"duplicated leaf", fasta,
+       "((a:0.1,a:0.2) #1:0.1,(c:0.3,d:0.1):0.05);",
+       {"leaf 'a'", "more than once"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string nwk = path("in_tree.nwk");
+    std::remove(nwk.c_str());
+    if (c.newick) write(nwk, c.newick);
+    Config cfg;
+    cfg.seqfile = c.seqfile;
+    cfg.seqfiles = {c.seqfile};
+    cfg.treefile = nwk;
+    cfg.outfile = "-";
+    cfg.fit.bfgs.maxIterations = 1;
+    try {
+      runFromConfig(cfg);
+      ADD_FAILURE() << "expected an input error";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("in_tree.nwk"), std::string::npos) << what;
+      for (const auto& part : c.expected)
+        EXPECT_NE(what.find(part), std::string::npos) << what;
+      EXPECT_EQ(what.find("src/"), std::string::npos) << what;
+      EXPECT_EQ(what.find("requirement failed"), std::string::npos) << what;
+    }
+    std::remove(nwk.c_str());
+  }
+  std::remove(fasta.c_str());
+  std::remove(twoFasta.c_str());
 }
 
 TEST_F(ConfigRun, MissingFilesRaise) {

@@ -195,73 +195,6 @@ TEST(CodonEigenSystem, DetailedBalanceOfP) {
       EXPECT_NEAR(cs.pi[i] * p(i, j), cs.pi[j] * p(j, i), 1e-12);
 }
 
-// ---------- Eq. 12-13: symmetric propagator and factored apply ----------
-
-TEST(SymmetricPropagator, EquivalentToTransitionMatrix) {
-  const auto cs = makeCodonSetup(2.0, 2.5, 13);
-  const CodonEigenSystem es(cs.s, cs.pi);
-  ExpmWorkspace ws;
-  const std::size_t n = es.n();
-  const double t = 0.3;
-
-  Matrix p(n, n), m(n, n);
-  es.transitionMatrix(t, ReconstructionPath::Syrk, Flavor::Opt, ws, p);
-  es.symmetricPropagator(t, Flavor::Opt, ws, m);
-
-  // M must be symmetric.
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      EXPECT_DOUBLE_EQ(m(i, j), m(j, i));
-
-  // M (Pi w) == P w for random w.
-  const Vector w = testutil::randomVector(n, 14);
-  Vector piw(n), viaM(n), viaP(n);
-  for (std::size_t i = 0; i < n; ++i) piw[i] = cs.pi[i] * w[i];
-  linalg::symv(Flavor::Opt, m, piw.span(), viaM.span());
-  linalg::gemv(Flavor::Opt, p, w.span(), viaP.span());
-  EXPECT_LT(maxAbsDiff(viaM, viaP), 1e-11);
-}
-
-TEST(FactoredApply, MatchesTransitionMatrixOnBundles) {
-  const auto cs = makeCodonSetup(2.0, 0.1, 15);
-  const CodonEigenSystem es(cs.s, cs.pi);
-  ExpmWorkspace ws;
-  const std::size_t n = es.n();
-  const double t = 0.25;
-
-  Matrix p(n, n);
-  es.transitionMatrix(t, ReconstructionPath::Syrk, Flavor::Opt, ws, p);
-
-  for (std::size_t cols : {1u, 3u, 17u}) {
-    Matrix w(n, cols);
-    for (std::size_t k = 0; k < w.size(); ++k)
-      w.data()[k] = 0.5 + 0.5 * std::sin(static_cast<double>(k));
-    Matrix viaApply(n, cols), viaP(n, cols);
-    es.applyExp(t, w, Flavor::Opt, ws, viaApply);
-    linalg::gemm(Flavor::Opt, p, w, viaP);
-    EXPECT_LT(maxAbsDiff(viaApply, viaP), 1e-11) << "cols=" << cols;
-  }
-}
-
-TEST(MakeYhat, FactorsReproduceP) {
-  // Pi^{1/2} Yhat Yhat^T Pi^{1/2} == Z == Pi^{1/2} P Pi^{-1/2}... verified
-  // via P = Yhat Yhat^T Pi directly.
-  const auto cs = makeCodonSetup(2.2, 0.6, 16);
-  const CodonEigenSystem es(cs.s, cs.pi);
-  const std::size_t n = es.n();
-  const double t = 0.15;
-  Matrix yhat(n, n), m(n, n), p(n, n);
-  es.makeYhat(t, yhat);
-  linalg::syrk(Flavor::Opt, yhat, m);
-  // P_ij = M_ij pi_j.
-  ExpmWorkspace ws;
-  Matrix pRef(n, n);
-  es.transitionMatrix(t, ReconstructionPath::Syrk, Flavor::Opt, ws, pRef);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      EXPECT_NEAR(m(i, j) * cs.pi[j], pRef(i, j), 1e-11);
-}
-
 // ---------- input validation ----------
 
 TEST(CodonEigenSystem, RejectsBadInput) {

@@ -1,17 +1,15 @@
-// The derivative-aware objective API: analytic branch-length gradients and
-// parallel multi-point (finite-difference) evaluation.
+// The derivative-aware objective API: analytic gradients against the
+// finite-difference reference.
 //
 //  * correctness: analytic d lnL / d t matches central finite differences at
 //    random feasible points, under both hypothesis parameterizations and
 //    across engine presets / thread counts;
-//  * determinism: fd-parallel probe fan-out returns bit-identical gradients
-//    to the serial fd path for every worker count;
 //  * the full analytic gradient (kappa, omega slots, proportions, branch
 //    lengths) matches central finite differences on every internal
 //    coordinate for every model instance, at interior and near-boundary
 //    points, is bit-identical across thread counts, and leaves eigen-path
 //    fits with no FD probe at all (adaptive expm keeps FD for kappa/omega);
-//  * end-to-end: full H0/H1 fits reach the same maximum under all three
+//  * end-to-end: full H0/H1 fits reach the same maximum under both
 //    GradientModes, with `analytic` cutting likelihood evaluations per
 //    converged fit by >= 3x versus `fd` (the whole point of the API).
 
@@ -25,7 +23,6 @@
 
 #include "core/analysis.hpp"
 #include "core/context.hpp"
-#include "core/objective.hpp"
 #include "core/site_models.hpp"
 #include "model/frequencies.hpp"
 #include "opt/transforms.hpp"
@@ -154,105 +151,14 @@ TEST(AnalyticGradient, BitIdenticalAcrossThreadCountsAndEngines) {
   }
 }
 
-// ---------- fd-parallel bit-identity ----------
-
-// A minimal packing for driving LikelihoodObjective directly: x is the raw
-// branch-length vector (identity transform), substitution parameters fixed.
-core::LikelihoodObjective::PreparePoint branchOnlyPrepare(
-    const SimData& d, const BranchSiteParams& p, Hypothesis h) {
-  return [&d, p, h](lik::BranchSiteLikelihood& e,
-                    std::span<const double> x) -> model::MixtureSpec {
-    for (int k = 0; k < e.numBranches(); ++k) e.setBranchLength(k, x[k]);
-    return model::buildModelASpec(*d.codons.code, d.pi, p, h);
-  };
-}
-
-TEST(ParallelFiniteDiff, BitIdenticalToSerialForEveryWorkerCount) {
-  const auto d = makeData(7, 40, 17);
-  const BranchSiteParams p;
-  auto likOptions = lik::slimParallelOptions();
-  likOptions.numThreads = 1;
-
-  // Serial fd reference on a plain evaluator.
-  lik::BranchSiteLikelihood refEval(d.codons, d.patterns, d.pi, d.tree,
-                                    Hypothesis::H1, likOptions);
-  const int numBranches = refEval.numBranches();
-  std::vector<double> x0(numBranches);
-  for (int k = 0; k < numBranches; ++k) x0[k] = refEval.branchLength(k);
-
-  core::LikelihoodObjective::Layout layout;
-  layout.numBranches = numBranches;
-  // No leading block: the chain rule has nothing to write.
-  layout.chain = [](std::span<const double>, const lik::MixtureGradient&,
-                    std::span<double>) {};
-  core::LikelihoodObjective serial(
-      refEval, d.codons, d.patterns, d.pi, d.tree, Hypothesis::H1, likOptions,
-      GradientMode::FiniteDiff, core::ParallelPolicy::Auto, 1, layout,
-      branchOnlyPrepare(d, p, Hypothesis::H1));
-  const double f0 = serial.value(x0);
-  std::vector<double> refGrad(numBranches);
-  for (bool central : {false, true}) {
-    const auto refResult =
-        serial.valueAndGradient(x0, refGrad, {1e-7, central, f0});
-    EXPECT_EQ(refResult.analyticCoordinates, 0);
-
-    for (int workers : {1, 2, 8}) {
-      lik::BranchSiteLikelihood eval(d.codons, d.patterns, d.pi, d.tree,
-                                     Hypothesis::H1, likOptions);
-      core::LikelihoodObjective fanned(
-          eval, d.codons, d.patterns, d.pi, d.tree, Hypothesis::H1, likOptions,
-          GradientMode::ParallelFiniteDiff, core::ParallelPolicy::TaskLevel,
-          workers, layout, branchOnlyPrepare(d, p, Hypothesis::H1));
-      EXPECT_EQ(fanned.value(x0), f0) << workers;
-      std::vector<double> grad(numBranches);
-      fanned.valueAndGradient(x0, grad, {1e-7, central, f0});
-      EXPECT_EQ(grad, refGrad) << "workers=" << workers
-                               << " central=" << central;
-      if (workers > 1) {
-        EXPECT_GT(fanned.poolSize(), 0) << workers;
-      }
-    }
-  }
-}
-
-TEST(ParallelFiniteDiff, FullFitsBitIdenticalToSerialFd) {
-  const auto d = makeData(6, 30, 19);
-  core::FitOptions base;
-  base.bfgs.maxIterations = 8;
-  base.tuning.cachePropagators = 1;
-
-  core::FitOptions fd = base;
-  fd.tuning.gradient = GradientMode::FiniteDiff;
-  fd.tuning.numThreads = 1;
-  core::BranchSiteAnalysis serial(d.codons, d.tree, core::EngineKind::Slim, fd);
-  const auto ref = serial.fit(Hypothesis::H1);
-
-  for (int threads : {1, 2, 8}) {
-    core::FitOptions par = base;
-    par.tuning.gradient = GradientMode::ParallelFiniteDiff;
-    par.tuning.numThreads = threads;
-    par.tuning.policy = core::ParallelPolicy::TaskLevel;
-    core::BranchSiteAnalysis fanned(d.codons, d.tree, core::EngineKind::Slim,
-                                    par);
-    const auto r = fanned.fit(Hypothesis::H1);
-    EXPECT_EQ(r.lnL, ref.lnL) << threads;
-    EXPECT_EQ(r.branchLengths, ref.branchLengths) << threads;
-    EXPECT_EQ(r.iterations, ref.iterations) << threads;
-    EXPECT_EQ(r.functionEvaluations, ref.functionEvaluations) << threads;
-    EXPECT_EQ(r.gradientEvaluations, ref.gradientEvaluations) << threads;
-    EXPECT_EQ(r.counters.evaluations, ref.counters.evaluations) << threads;
-  }
-}
-
-// ---------- end-to-end: the three modes agree, analytic is cheaper ----------
+// ---------- end-to-end: the two modes agree, analytic is cheaper ----------
 
 TEST(GradientModes, FitsAgreeAndAnalyticCutsEvaluations) {
 #ifdef SLIM_SANITIZED
-  // Six full fits run to tight convergence: ~30 s natively but ~30 min
-  // under ASan/TSan, and entirely single-threaded (numThreads = 1, no probe
-  // fan-out), so sanitized runs gain no coverage from it.  The threaded
-  // gradient paths are covered by the AnalyticGradient and
-  // ParallelFiniteDiff suites above.
+  // Four full fits run to tight convergence: ~20 s natively but ~20 min
+  // under ASan/TSan, and entirely single-threaded (numThreads = 1), so
+  // sanitized runs gain no coverage from it.  The threaded gradient paths
+  // are covered by the AnalyticGradient suites above.
   GTEST_SKIP() << "single-threaded convergence marathon skipped under "
                   "sanitizers";
 #endif
@@ -273,23 +179,22 @@ TEST(GradientModes, FitsAgreeAndAnalyticCutsEvaluations) {
   core::FitOptions base;
   // Tight enough that every mode runs to the numerical optimum (not to an
   // early f-tolerance stop), so the three final lnL values are comparable
-  // at 1e-8; central differences keep the FD modes accurate near it.
+  // at 1e-8; central differences keep the FD mode accurate near it.
   base.bfgs.maxIterations = 400;
   base.bfgs.gradTolerance = 1e-9;
   base.bfgs.fTolerance = 1e-13;
   // Central differences at the ~eps^(1/3) step: the FD noise floor must sit
-  // below the 1e-8 agreement bar, or the FD modes stall short of it.
+  // below the 1e-8 agreement bar, or the FD mode stalls short of it.
   base.bfgs.centralDifferences = true;
   base.bfgs.fdStep = 1e-5;
   base.tuning.cachePropagators = 1;
   base.tuning.numThreads = 1;
 
   for (Hypothesis h : {Hypothesis::H0, Hypothesis::H1}) {
-    core::FitResult results[3];
-    const GradientMode modes[3] = {GradientMode::FiniteDiff,
-                                   GradientMode::ParallelFiniteDiff,
+    core::FitResult results[2];
+    const GradientMode modes[2] = {GradientMode::FiniteDiff,
                                    GradientMode::Analytic};
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 2; ++i) {
       core::FitOptions opts = base;
       opts.tuning.gradient = modes[i];
       core::BranchSiteAnalysis analysis(d.codons, d.tree,
@@ -298,20 +203,18 @@ TEST(GradientModes, FitsAgreeAndAnalyticCutsEvaluations) {
       EXPECT_TRUE(results[i].converged)
           << model::hypothesisName(h) << " " << core::gradientModeName(modes[i]);
     }
-    // fd and fd-parallel follow the same trajectory exactly; analytic lands
-    // on the same maximum.
-    EXPECT_EQ(results[0].lnL, results[1].lnL) << model::hypothesisName(h);
-    EXPECT_NEAR(results[0].lnL, results[2].lnL, 1e-8)
+    // analytic lands on the same maximum as fd.
+    EXPECT_NEAR(results[0].lnL, results[1].lnL, 1e-8)
         << model::hypothesisName(h);
 
     if (h == Hypothesis::H1) {
       // The acceptance bar: analytic cuts likelihood evaluations per
       // converged H1 fit by >= 3x (branch derivatives come from sweeps).
       EXPECT_GE(results[0].counters.evaluations,
-                3 * results[2].counters.evaluations)
+                3 * results[1].counters.evaluations)
           << "fd=" << results[0].counters.evaluations
-          << " analytic=" << results[2].counters.evaluations;
-      EXPECT_GT(results[2].counters.gradientSweeps, 0);
+          << " analytic=" << results[1].counters.evaluations;
+      EXPECT_GT(results[1].counters.gradientSweeps, 0);
       EXPECT_EQ(results[0].counters.gradientSweeps, 0);
     }
   }

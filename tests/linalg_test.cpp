@@ -18,7 +18,6 @@ namespace slim::linalg {
 namespace {
 
 using testutil::randomMatrix;
-using testutil::randomSymmetric;
 using testutil::randomVector;
 
 // ---------- containers ----------
@@ -158,18 +157,6 @@ TEST_P(FlavorAgreement, GemvT) {
   EXPECT_LT(maxAbsDiff(y1, y2), 1e-12 * static_cast<double>(n + 1));
 }
 
-TEST_P(FlavorAgreement, SymvMatchesGemvOnSymmetricInput) {
-  const std::size_t n = GetParam();
-  const Matrix a = randomSymmetric(n, 5);
-  const Vector x = randomVector(n, 6);
-  Vector y1(n), y2(n), y3(n);
-  symv(Flavor::Naive, a, x.span(), y1.span());
-  symv(Flavor::Opt, a, x.span(), y2.span());
-  gemv(Flavor::Opt, a, x.span(), y3.span());
-  EXPECT_LT(maxAbsDiff(y1, y2), 1e-12 * static_cast<double>(n + 1));
-  EXPECT_LT(maxAbsDiff(y1, y3), 1e-12 * static_cast<double>(n + 1));
-}
-
 TEST_P(FlavorAgreement, Gemm) {
   const std::size_t n = GetParam();
   const Matrix a = randomMatrix(n, n + 1, 7);
@@ -225,10 +212,6 @@ TEST(Blas2, DimensionMismatchThrows) {
   const Matrix a(3, 4);
   Vector x(3), y(3);
   EXPECT_THROW(gemv(Flavor::Opt, a, x.span(), y.span()),
-               std::invalid_argument);
-  const Matrix sq(3, 3);
-  Vector x3(4);
-  EXPECT_THROW(symv(Flavor::Opt, sq, x3.span(), y.span()),
                std::invalid_argument);
 }
 

@@ -90,9 +90,7 @@ TEST(ParallelEngine, ThreadCountInvarianceAllStrategies) {
   const Fixture f = makeFixture();
   const BranchSiteParams p = testParams();
   for (auto strategy :
-       {PropagationStrategy::PerSiteGemv, PropagationStrategy::BundledGemm,
-        PropagationStrategy::SymmetricSymv,
-        PropagationStrategy::FactoredApply}) {
+       {PropagationStrategy::PerSiteGemv, PropagationStrategy::BundledGemm}) {
     LikelihoodOptions base = slimOptions();
     base.propagation = strategy;
     BranchSiteLikelihood serial(f.alignment, f.patterns, f.pi, f.tree,

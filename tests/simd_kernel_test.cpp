@@ -87,21 +87,17 @@ TEST(SimdKernels, GemmMatchesScalarOnEveryLevel) {
   }
 }
 
-TEST(SimdKernels, GemmNTAndSyrkMatchScalarOnEveryLevel) {
+TEST(SimdKernels, GemmNTMatchesScalarOnEveryLevel) {
   const int m = 13, k = 61, n = 61;
   const Matrix a = randomMatrix(m, k, 31);
   const Matrix b = randomMatrix(n, k, 37);
-  const Matrix y = randomMatrix(n, k, 41);
-  Matrix wantNT(m, n), wantSyrk(n, n);
+  Matrix wantNT(m, n);
   simdKernels(SimdLevel::Scalar)
       .gemmNT(a.data(), b.data(), wantNT.data(), m, k, n);
-  simdKernels(SimdLevel::Scalar).syrk(y.data(), wantSyrk.data(), n, k);
   for (SimdLevel level : availableLevels()) {
-    Matrix gotNT(m, n), gotSyrk(n, n);
+    Matrix gotNT(m, n);
     simdKernels(level).gemmNT(a.data(), b.data(), gotNT.data(), m, k, n);
-    simdKernels(level).syrk(y.data(), gotSyrk.data(), n, k);
     expectClose(gotNT, wantNT, simdLevelName(level));
-    expectClose(gotSyrk, wantSyrk, simdLevelName(level));
   }
 }
 
@@ -137,9 +133,9 @@ TEST(SimdKernels, ScalarFusedSandwichIsBitIdenticalToUnfused) {
   const auto& scalar = simdKernels(SimdLevel::Scalar);
 
   // Unfused reference: syrk, then scaleSandwich, then the clamp — the exact
-  // sequence the Flavor::Opt transitionMatrix used to run.
+  // sequence the Flavor::Opt transitionMatrix runs.
   Matrix z(n, n), want(n, n);
-  scalar.syrk(y.data(), z.data(), n, n);
+  linalg::syrk(Flavor::Opt, y, z);
   scaleSandwich(z, l, r, want);
   for (std::size_t k = 0; k < want.size(); ++k)
     if (want.data()[k] < 0.0) want.data()[k] = 0.0;
@@ -295,14 +291,13 @@ LikelihoodOptions optionsFor(SimdLevel level, PropagationStrategy strategy,
 }
 
 // Every compiled SIMD flavor agrees with scalar to <= 1e-10 relative lnL on
-// all three routed hot paths (bundled gemm, factored apply, per-site gemv's
+// both propagation strategies (bundled gemm, and per-site gemv's
 // reconstruction-only route).
 TEST(SimdLikelihood, LnlAgreesWithScalarWithin1e10Relative) {
   const Fixture f = makeFixture();
   const BranchSiteParams p = testParams();
   for (auto strategy :
-       {PropagationStrategy::BundledGemm, PropagationStrategy::FactoredApply,
-        PropagationStrategy::PerSiteGemv}) {
+       {PropagationStrategy::BundledGemm, PropagationStrategy::PerSiteGemv}) {
     BranchSiteLikelihood scalarEval(f.alignment, f.patterns, f.pi, f.tree,
                                     Hypothesis::H1,
                                     optionsFor(SimdLevel::Scalar, strategy));

@@ -61,8 +61,10 @@ Control file template:
                                * plain run on the tree's own #k marks
     threads  = 0               * worker threads (0: all cores)
     parallel = auto            * auto | task | pattern (batch fan-out)
-    gradient = fd              * fd | fd-parallel | analytic
+    gradient = fd              * fd | analytic (no FD probes on the eigen path)
     simd     = auto            * auto | scalar | avx2 | avx512 kernels
+    backend  = auto            * auto | reference | simd | blas kernel table
+    expm     = eigen           * eigen | adaptive (non-reversible Q)
     blockSize = 64             * site patterns per work block
     cachePropagators = 1       * persistent (omega, branch-length) cache
     CodonFreq = 2              * 0 equal, 1 F1x4, 2 F3x4, 3 F61
