@@ -14,10 +14,10 @@
 #include "backend/compute_backend.hpp"
 #include "backend/expm_pade.hpp"
 #include "expm/codon_eigen_system.hpp"
-#include "expm/pade.hpp"
 #include "linalg/diag.hpp"
 #include "linalg/simd.hpp"
 #include "model/codon_model.hpp"
+#include "oracle/pade.hpp"
 #include "sim/evolver.hpp"
 #include "sim/rng.hpp"
 
@@ -165,7 +165,7 @@ void BM_PadeOracle(benchmark::State& state) {
   model::buildRateMatrix(s.s, s.pi, q);
   for (std::size_t k = 0; k < q.size(); ++k) q.data()[k] *= 0.3;
   for (auto _ : state) {
-    auto p = expm::expmPade(q);
+    auto p = oracle::expmPade(q);
     benchmark::DoNotOptimize(p.data());
   }
 }

@@ -10,8 +10,8 @@
 #include <iostream>
 
 #include "expm/codon_eigen_system.hpp"
-#include "expm/pade.hpp"
 #include "model/codon_model.hpp"
+#include "oracle/pade.hpp"
 #include "sim/rng.hpp"
 #include "sim/evolver.hpp"
 
@@ -52,7 +52,7 @@ int main() {
   model::buildRateMatrix(s, pi, q);
   for (std::size_t k = 0; k < q.size(); ++k) q.data()[k] *= t;
   std::cout << "  max |P_syrk - Pade oracle|      = "
-            << maxAbsDiff(pSyrk, expm::expmPade(q)) << "\n\n";
+            << maxAbsDiff(pSyrk, oracle::expmPade(q)) << "\n\n";
 
   // Timing: Eq. 9 (2n^3 gemm) vs Eq. 10 (n^3 syrk), many branch lengths as
   // in one likelihood evaluation over a large tree.

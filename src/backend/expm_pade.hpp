@@ -12,7 +12,7 @@
 // as refined by Al-Mohy & Higham, the method behind expm() in
 // MATLAB/SciPy/Eigen and uni20's expokit port (SNIPPETS.md).
 //
-// Versus the fixed order-6 oracle in expm/pade.cpp (kept as the
+// Versus the fixed order-6 oracle in tests/oracle/pade.cpp (kept as the
 // test-reference it is), this implementation
 //   * picks the cheapest Padé degree m in {3, 5, 7, 9, 13} whose backward
 //     error bound covers ||A||_1 (the theta_m table), so small ||Qt|| — the

@@ -32,7 +32,7 @@ PositiveSelectionTest BranchSiteAnalysis::run() {
   // branch model has no site mixture, so there is nothing to scan.
   lik::EvalCounters scanCounters;
   lik::SiteClassPosteriors posteriors;
-  if (h1.modelKind != model::ModelKind::Branch)
+  if (context_->options().modelSpec.hasSiteMixture())
     posteriors = siteScanAtFit(
         *context_, h1, context_->likelihoodOptions(),
         context_->cacheShard(AnalysisContext::shardSlot(Hypothesis::H1)),

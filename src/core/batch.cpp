@@ -120,9 +120,9 @@ std::vector<PositiveSelectionTest> BatchAnalysis::runAll() {
     // No scan for a cancelled H1 fit: posteriors at a truncated point are
     // not meaningful, and skipping them lets SIGTERM/drain exit promptly.
     if (fits[2 * g + 1].cancelled) return;
-    // The branch model has no site mixture — nothing to scan.
-    if (fits[2 * g + 1].modelKind == model::ModelKind::Branch) return;
     const auto& ctx = *contexts_[g];
+    // The branch model has no site mixture — nothing to scan.
+    if (!ctx.options().modelSpec.hasSiteMixture()) return;
     lik::LikelihoodOptions lk = ctx.likelihoodOptions();
     lk.numThreads = scanThreads;
     posteriors[g] = siteScanAtFit(

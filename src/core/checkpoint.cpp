@@ -349,6 +349,8 @@ Checkpoint Checkpoint::parse(std::string_view text, const std::string& origin) {
           fit.modelKind = model::ModelKind::Branch;
         else if (it->second == "clade-c")
           fit.modelKind = model::ModelKind::CladeC;
+        else if (it->second == "site")
+          fit.modelKind = model::ModelKind::Site;
         else if (it->second == "branch-site")
           fit.modelKind = model::ModelKind::BranchSite;
         else
@@ -479,7 +481,7 @@ std::uint64_t checkpointConfigHash(const Config& config) {
   };
   const auto addD = [&](std::string_view k, double v) { add(k, hexDouble(v)); };
 
-  add("analysis", analysisKindName(config.analysis));
+  add("analysis", model::modelKindName(config.analysis));
   // Gated on non-empty so every pre-scan checkpoint hash is unchanged; the
   // selector shapes the task list (trees and task keys), so a resumed scan
   // must have been written under the same one.

@@ -222,6 +222,12 @@ Config Config::parse(std::istream& in) {
     throw ConfigError("control file: seqfile is required");
   if (cfg.treefile.empty())
     throw ConfigError("control file: treefile is required");
+  // The one place this pair is refused: the CLI, batch runs and daemon
+  // submissions all parse their control text here.
+  if (cfg.analysis == AnalysisKind::Site && !cfg.foreground.empty())
+    throw ConfigError(
+        "control file: 'foreground =' needs a branch model; 'model = site' "
+        "fits M1a/M2a over every branch and has no foreground");
   return cfg;
 }
 
@@ -339,8 +345,9 @@ model::ModelSpec modelSpecFor(AnalysisKind kind, int numBranchClasses) {
     case AnalysisKind::CladeC:
       spec = model::ModelSpec::cladeC(numBranchClasses);
       break;
-    default:
-      SLIM_REQUIRE(false, "modelSpecFor: 'model = site' has no ModelSpec");
+    case AnalysisKind::Site:
+      spec = model::ModelSpec::site();
+      break;
   }
   spec.validate();
   return spec;
@@ -384,8 +391,6 @@ std::vector<std::string> scanBatchDirectory(const std::string& dir) {
 
 PositiveSelectionTest runFromConfig(const Config& rawConfig) {
   Config config = applyRunDeadline(resolveTuningProfile(rawConfig));
-  SLIM_REQUIRE(config.analysis != AnalysisKind::Site,
-               "runFromConfig: control file requests 'model = site'");
   SLIM_REQUIRE(config.foreground.empty(),
                "runFromConfig: 'foreground =' scans run through the batch "
                "workflow (runBatchFromConfig)");
@@ -415,8 +420,6 @@ PositiveSelectionTest runFromConfig(const Config& rawConfig) {
 
 BatchRunOutput runBatchFromConfig(const Config& rawConfig) {
   Config config = applyRunDeadline(resolveTuningProfile(rawConfig));
-  SLIM_REQUIRE(config.analysis != AnalysisKind::Site,
-               "runBatchFromConfig: control file requests 'model = site'");
   SLIM_REQUIRE(!config.seqfiles.empty(), "runBatchFromConfig: no seqfiles");
 
   const auto tree =
@@ -466,35 +469,6 @@ BatchRunOutput runBatchFromConfig(const Config& rawConfig) {
                       out.info);
   });
   return out;
-}
-
-SiteModelTest runSiteModelFromConfig(const Config& rawConfig) {
-  const Config config = applyRunDeadline(resolveTuningProfile(rawConfig));
-  SLIM_REQUIRE(config.analysis == AnalysisKind::Site,
-               "runSiteModelFromConfig: control file requests '" +
-                   std::string(analysisKindName(config.analysis)) + "'");
-  SLIM_REQUIRE(config.checkpointPath.empty() && !config.resume,
-               "checkpoint/resume supports 'model = branch-site', 'branch' "
-               "and 'clade-c', not 'model = site'");
-  SLIM_REQUIRE(config.foreground.empty(),
-               "'foreground =' scans support 'model = branch-site', 'branch' "
-               "and 'clade-c', not 'model = site'");
-  const auto in = loadInputs(config);
-  SiteModelFitOptions options;
-  options.frequencyModel = config.fit.frequencyModel;
-  options.bfgs = config.fit.bfgs;
-  options.initialParams.kappa = config.fit.initialParams.kappa;
-  options.initialParams.omega0 = config.fit.initialParams.omega0;
-  options.initialParams.omega2 = config.fit.initialParams.omega2;
-  options.initialParams.p0 = config.fit.initialParams.p0;
-  options.initialParams.p1 = config.fit.initialParams.p1;
-  options.tuning = config.fit.tuning;
-  SiteModelAnalysis analysis(in.codons, in.tree, config.engine, options);
-  const auto test = analysis.run();
-  emitReport(config, [&](std::ostream& os) {
-    writeSiteModelReport(os, test, config.engine);
-  });
-  return test;
 }
 
 }  // namespace slim::core

@@ -44,8 +44,9 @@
 //                                  * (strictly loaded; wrong host refused)
 //
 // Multi-gene batches: repeat the `seqfile` line once per alignment (all
-// genes share the one tree), and every gene's branch-site test runs through
+// genes share the one tree), and every gene's test runs through
 // core::BatchAnalysis with the H0/H1 fits fanned across the worker pool.
+// `model = site` fits M1a as H0 and M2a as H1 through the same path.
 
 #include <iosfwd>
 #include <stdexcept>
@@ -54,7 +55,6 @@
 
 #include "core/analysis.hpp"
 #include "core/batch.hpp"
-#include "core/site_models.hpp"
 
 namespace slim::core {
 
@@ -67,22 +67,9 @@ class ConfigError : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
-/// Which test the control file requests.
-enum class AnalysisKind {
-  BranchSite,  ///< model A, H0 vs H1 on the #1 branch (`model = branch-site`)
-  Site,        ///< M1a vs M2a across all branches (`model = site`)
-  Branch,      ///< one omega per branch class vs one shared (`model = branch`)
-  CladeC,      ///< clade model C vs M2a_rel (`model = clade-c`)
-};
-
-inline const char* analysisKindName(AnalysisKind k) noexcept {
-  switch (k) {
-    case AnalysisKind::BranchSite: return "branch-site";
-    case AnalysisKind::Site: return "site";
-    case AnalysisKind::Branch: return "branch";
-    default: return "clade-c";
-  }
-}
+/// Which test the control file requests (`model =`): the model family of
+/// model/model_spec.hpp.
+using AnalysisKind = model::ModelKind;
 
 /// Parsed control file.
 struct Config {
@@ -103,7 +90,7 @@ struct Config {
   std::string foreground;
   FitOptions fit;
   bool stopCodonsAsMissing = false;
-  /// Non-empty: branch-site fits snapshot their optimizer state to this
+  /// Non-empty: fits snapshot their optimizer state to this
   /// file (atomically) as they run, making the run resumable.
   std::string checkpointPath;
   /// Seconds between checkpoint writes (0: write on every iteration).
@@ -141,12 +128,12 @@ struct Config {
 /// profile (see core/tuning_profile.hpp).
 Config resolveTuningProfile(Config config);
 
-/// The ModelSpec a non-site `model =` selection requests over a tree with
+/// The ModelSpec a `model =` selection requests over a tree with
 /// `numBranchClasses` branch classes (branch-site always uses the fixed
-/// two-class Table I shape; scans mark each set as class 1, so they pass 2).
-/// Validated here, so an unmarked tree under `model = branch` / `clade-c`
-/// fails with the spec's keyed "mark at least one branch" error before any
-/// fitting starts; `model = site` has no spec and throws.
+/// two-class Table I shape and the site models one class, marks ignored;
+/// scans mark each set as class 1, so they pass 2).  Validated here, so an
+/// unmarked tree under `model = branch` / `clade-c` fails with the spec's
+/// keyed "mark at least one branch" error before any fitting starts.
 model::ModelSpec modelSpecFor(AnalysisKind analysis, int numBranchClasses);
 
 /// Load one alignment file: FASTA when the first non-blank character is
@@ -160,14 +147,11 @@ tree::Tree loadTreeFile(const std::string& path);
 
 /// Load the alignment (FASTA when the first non-blank char is '>', else
 /// sequential PHYLIP) and tree named by the config, run the full H0/H1
-/// test of the requested branch-classification model (branch-site A, the
-/// branch model or clade model C), and return the result; writes the text
-/// report to config.outfile.  Requires analysis != Site and an empty
-/// `foreground =` (scans run through runBatchFromConfig).
+/// test of the requested model (branch-site A, the branch model, clade
+/// model C or M1a vs M2a), and return the result; writes the text report to
+/// config.outfile.  Requires an empty `foreground =` (scans run through
+/// runBatchFromConfig).
 PositiveSelectionTest runFromConfig(const Config& config);
-
-/// Same, for `model = site`: the M1a-vs-M2a test (no #1 mark needed).
-SiteModelTest runSiteModelFromConfig(const Config& config);
 
 /// Result of the multi-gene workflow, in seqfile order.
 struct BatchRunOutput {
@@ -183,8 +167,7 @@ struct BatchRunOutput {
 /// reports plus a batch summary to config.outfile.  A non-empty
 /// `foreground =` expands every gene into one task per branch set
 /// (core::ScanAnalysis, names "<gene>@<set>"), riding the same checkpoint /
-/// cancellation / report plumbing.  Requires analysis != Site; also accepts
-/// a single seqfile.
+/// cancellation / report plumbing.  Also accepts a single seqfile.
 BatchRunOutput runBatchFromConfig(const Config& config);
 
 /// Alignments under `dir` with a recognized extension (*.fasta, *.fa,

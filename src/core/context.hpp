@@ -39,13 +39,14 @@ struct FitOptions {
   model::CodonFrequencyModel frequencyModel = model::CodonFrequencyModel::F3x4;
   /// Optimizer controls; maxIterations is the paper's "iterations" column.
   opt::BfgsOptions bfgs{};
-  /// Which scenario to fit: branch-site A (default), the branch model, or
-  /// clade model C, over the tree's branch classes (model/model_spec.hpp).
+  /// Which scenario to fit: branch-site A (default), the branch model,
+  /// clade model C over the tree's branch classes, or M1a (H0) vs M2a (H1)
+  /// (model/model_spec.hpp).
   model::ModelSpec modelSpec{};
-  /// Starting substitution parameters.  For the non-branch-site kinds the
-  /// fields are reinterpreted: kappa/omega0/p0/p1 keep their roles where the
-  /// model has them, omega0 seeds the background/shared class omega and
-  /// omega2 the non-background class omegas.
+  /// Starting substitution parameters.  Every kind reads the fields it has
+  /// (M1a reads p0 alone); the branch model's class omegas start at omega0
+  /// (background) and omega2 (marked classes), clade C's at omega2
+  /// (ModelSpec::startClassOmegas).
   model::BranchSiteParams initialParams{};
   /// When false, every branch starts at initialBranchLength instead of the
   /// lengths carried by the input tree.
@@ -53,7 +54,8 @@ struct FitOptions {
   double initialBranchLength = 0.1;
   /// Non-zero: multiplicatively jitter the starting parameter values with
   /// this seed (CodeML's randomized initial values; the paper fixes the seed
-  /// "to generate comparable and reproducible results").
+  /// "to generate comparable and reproducible results").  Which values move
+  /// is the kind's parameter table (ModelSpec::parameters).
   std::uint64_t startJitterSeed = 0;
   /// Likelihood-engine tuning layered on top of the engine preset.
   LikelihoodTuning tuning{};
@@ -67,8 +69,9 @@ struct FitResult {
   model::BranchSiteParams params;
   /// Per-branch-class omega MLEs: one per branch class for the branch
   /// model, the divergent omegas for clade model C (H0 fits carry the
-  /// single shared value).  Empty for branch-site A, whose omegas live in
-  /// `params` — keeping its reports and checkpoint records byte-identical.
+  /// single shared value).  Empty for branch-site A and the site models,
+  /// whose omegas live in `params` — keeping branch-site reports and
+  /// checkpoint records byte-identical.
   std::vector<double> classOmegas;
   std::vector<double> branchLengths;  ///< Post-order branch order.
   int iterations = 0;
@@ -235,8 +238,9 @@ FitResult fitHypothesis(const AnalysisContext& context,
 
 /// NEB site scan at an H1 maximum.  `scanCounters` receives the engine
 /// counters of this evaluation (work that per-fit counters do not cover).
-/// Dispatches on the fit's model kind (branch-site A / clade model C);
-/// the branch model has no site mixture and must not be scanned.
+/// The mixture comes from the context's ModelSpec (mixtureAt), whose kind
+/// must match the fit's; the branch model has no site mixture
+/// (ModelSpec::hasSiteMixture) and must not be scanned.
 lik::SiteClassPosteriors siteScanAtFit(
     const AnalysisContext& context, const FitResult& h1Fit,
     const lik::LikelihoodOptions& likOptions,

@@ -20,10 +20,10 @@
 //     finite-differenced, on the same evaluator (its pattern-parallel sweep
 //     is bit-identical for every thread count).
 //
-// Both fitHypothesis (branch-site model A) and the site-model fits drive
-// their BFGS searches through this class; they differ only in the
-// PreparePoint hook that maps an optimization vector onto (branch lengths,
-// mixture spec).
+// fitHypothesis drives every model kind's BFGS search through this class;
+// the kinds differ only in the packing (their ModelSpec parameter table)
+// and the PreparePoint hook that maps an optimization vector onto (branch
+// lengths, mixture spec).
 
 #include <functional>
 #include <vector>

@@ -12,26 +12,26 @@
 namespace slim::core {
 
 void writeFitReport(std::ostream& os, const FitResult& fit) {
-  os << "  " << model::hypothesisName(fit.hypothesis)
+  const auto kind = fit.modelKind;
+  os << "  " << model::hypothesisName(kind, fit.hypothesis)
      << ": lnL = " << std::fixed << std::setprecision(6) << fit.lnL
      << std::defaultfloat << '\n'
      << "    kappa  = " << fit.params.kappa << '\n';
   // The branch model has no omega0 site class and no mixture proportions;
   // the other kinds keep the classic parameter block (byte-identical for
   // branch-site, whose classOmegas is always empty).
-  if (fit.modelKind != model::ModelKind::Branch)
+  if (kind != model::ModelKind::Branch)
     os << "    omega0 = " << fit.params.omega0 << '\n';
-  if (fit.modelKind == model::ModelKind::BranchSite) {
+  if (kind == model::ModelKind::BranchSite || kind == model::ModelKind::Site) {
     if (fit.hypothesis == model::Hypothesis::H1)
       os << "    omega2 = " << fit.params.omega2 << '\n';
   } else {
-    os << (fit.modelKind == model::ModelKind::CladeC
-               ? "    divergent omegas ="
-               : "    class omegas =");
+    os << (kind == model::ModelKind::CladeC ? "    divergent omegas ="
+                                            : "    class omegas =");
     for (const double w : fit.classOmegas) os << ' ' << w;
     os << '\n';
   }
-  if (fit.modelKind != model::ModelKind::Branch)
+  if (kind != model::ModelKind::Branch)
     os << "    p0 = " << fit.params.p0 << ", p1 = " << fit.params.p1 << '\n';
   os
      << "    iterations = " << fit.iterations
@@ -70,15 +70,21 @@ void writeNestedShortfall(std::ostream& os, const stat::LrtResult& lrt) {
 void writeTestReport(std::ostream& os, const PositiveSelectionTest& test,
                      EngineKind engine, double siteThreshold) {
   const auto kind = test.h1.modelKind;
-  if (kind == model::ModelKind::BranchSite)
-    os << "Branch-site test for positive selection (" << engineName(engine)
-       << " engine)\n";
-  else if (kind == model::ModelKind::Branch)
-    os << "Branch-model test, one omega per branch class ("
-       << engineName(engine) << " engine)\n";
-  else
-    os << "Clade model C test vs M2a_rel (" << engineName(engine)
-       << " engine)\n";
+  switch (kind) {
+    case model::ModelKind::BranchSite:
+      os << "Branch-site test for positive selection";
+      break;
+    case model::ModelKind::Branch:
+      os << "Branch-model test, one omega per branch class";
+      break;
+    case model::ModelKind::CladeC:
+      os << "Clade model C test vs M2a_rel";
+      break;
+    case model::ModelKind::Site:
+      os << "Site-model test, M1a vs M2a";
+      break;
+  }
+  os << " (" << engineName(engine) << " engine)\n";
   writeFitReport(os, test.h0);
   writeFitReport(os, test.h1);
   os << "  LRT: 2*dlnL = " << std::setprecision(6) << test.lrt.statistic
@@ -90,18 +96,26 @@ void writeTestReport(std::ostream& os, const PositiveSelectionTest& test,
     os << ", p(mixture) = " << test.lrt.pMixture;
   os << '\n';
   writeNestedShortfall(os, test.lrt);
-  if (test.lrt.significantAt(0.05))
-    os << (kind == model::ModelKind::BranchSite
-               ? "  => positive selection DETECTED on the foreground branch "
-                 "(5% level)\n"
-               : "  => branch-class omega heterogeneity DETECTED (5% "
-                 "level)\n");
-  else
-    os << (kind == model::ModelKind::BranchSite
-               ? "  => no significant evidence of positive selection (5% "
-                 "level)\n"
-               : "  => no significant branch-class omega heterogeneity (5% "
-                 "level)\n");
+  const bool significant = test.lrt.significantAt(0.05);
+  switch (kind) {
+    case model::ModelKind::BranchSite:
+      os << (significant ? "  => positive selection DETECTED on the "
+                           "foreground branch (5% level)\n"
+                         : "  => no significant evidence of positive "
+                           "selection (5% level)\n");
+      break;
+    case model::ModelKind::Site:
+      os << (significant ? "  => positive selection DETECTED across the "
+                           "gene (5% level)\n"
+                         : "  => no significant evidence of positive "
+                           "selection (5% level)\n");
+      break;
+    default:
+      os << (significant ? "  => branch-class omega heterogeneity DETECTED "
+                           "(5% level)\n"
+                         : "  => no significant branch-class omega "
+                           "heterogeneity (5% level)\n");
+  }
 
   // The branch model has no site mixture — nothing to scan.
   if (kind == model::ModelKind::Branch) return;
@@ -124,51 +138,6 @@ std::string testReportString(const PositiveSelectionTest& test,
   std::ostringstream os;
   writeTestReport(os, test, engine, siteThreshold);
   return os.str();
-}
-
-namespace {
-
-void writeSiteFit(std::ostream& os, const SiteModelFitResult& fit) {
-  os << "  " << siteModelName(fit.model) << ": lnL = " << std::fixed
-     << std::setprecision(6) << fit.lnL << std::defaultfloat << '\n'
-     << "    kappa  = " << fit.params.kappa << '\n'
-     << "    omega0 = " << fit.params.omega0 << '\n';
-  if (fit.model == SiteModel::M2a)
-    os << "    omega2 = " << fit.params.omega2 << '\n';
-  os << "    p0 = " << fit.params.p0 << ", p1 = " << fit.params.p1 << '\n'
-     << "    iterations = " << fit.iterations
-     << (fit.converged ? " (converged)" : " (iteration cap reached)")
-     << ", simd = " << linalg::simdLevelName(fit.simd)
-     << ", backend = " << backend::backendKindName(fit.backend) << '\n';
-}
-
-}  // namespace
-
-void writeSiteModelReport(std::ostream& os, const SiteModelTest& test,
-                          EngineKind engine, double siteThreshold) {
-  os << "Site-model test for positive selection, M1a vs M2a ("
-     << engineName(engine) << " engine)\n";
-  writeSiteFit(os, test.m1a);
-  writeSiteFit(os, test.m2a);
-  os << "  LRT: 2*dlnL = " << std::setprecision(6) << test.lrt.statistic
-     << ", p(chi2_2) = " << test.lrt.pChi2 << '\n';
-  writeNestedShortfall(os, test.lrt);
-  if (test.lrt.significantAt(0.05))
-    os << "  => positive selection DETECTED across the gene (5% level)\n";
-  else
-    os << "  => no significant evidence of positive selection (5% level)\n";
-  os << "  Sites with posterior P(omega2 class) > " << siteThreshold
-     << " (NEB):\n";
-  bool any = false;
-  for (std::size_t i = 0; i < test.posteriors.positiveSelectionBySite.size();
-       ++i) {
-    if (test.posteriors.positiveSelectionBySite[i] > siteThreshold) {
-      os << "    site " << (i + 1) << "  P = " << std::setprecision(4)
-         << test.posteriors.positiveSelectionBySite[i] << '\n';
-      any = true;
-    }
-  }
-  if (!any) os << "    (none)\n";
 }
 
 void writeBatchSummary(std::ostream& os,

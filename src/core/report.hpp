@@ -10,7 +10,6 @@
 
 #include "core/analysis.hpp"
 #include "core/batch.hpp"
-#include "core/site_models.hpp"
 
 namespace slim::core {
 
@@ -25,10 +24,6 @@ void writeTestReport(std::ostream& os, const PositiveSelectionTest& test,
 /// Convenience: the full test report as a string.
 std::string testReportString(const PositiveSelectionTest& test,
                              EngineKind engine, double siteThreshold = 0.95);
-
-/// Write the M1a-vs-M2a site-model test report (df = 2 LRT, NEB sites).
-void writeSiteModelReport(std::ostream& os, const SiteModelTest& test,
-                          EngineKind engine, double siteThreshold = 0.95);
 
 /// Per-gene verdict table plus the aggregate engine counters of a batch run
 /// (tests and geneNames are parallel, in GeneHandle order).

@@ -404,9 +404,6 @@ std::string AnalysisServer::Impl::handleLine(const std::string& line) {
 
 std::string AnalysisServer::Impl::validateJobConfig(
     const core::Config& config) const {
-  if (config.analysis == core::AnalysisKind::Site)
-    return "daemon jobs support 'model = branch-site', 'branch' and "
-           "'clade-c'; 'model = site' runs through the CLI only";
   if (!config.checkpointPath.empty() || config.resume)
     return "ctl must not set 'checkpoint' — request it with the protocol's "
            "\"checkpoint\" flag (the daemon owns checkpoint paths)";

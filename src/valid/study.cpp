@@ -38,6 +38,18 @@ struct Fnv {
   void real(double v) { bytes(core::hexDouble(v)); }
 };
 
+/// The spec a scenario is fitted under: replicate trees carry branch
+/// classes {0, 1}, so the branch-class kinds are two-class.
+model::ModelSpec scenarioModelSpec(model::ModelKind kind) {
+  switch (kind) {
+    case model::ModelKind::Branch: return model::ModelSpec::branch(2);
+    case model::ModelKind::CladeC: return model::ModelSpec::cladeC(2);
+    case model::ModelKind::Site: return model::ModelSpec::site();
+    case model::ModelKind::BranchSite: break;
+  }
+  return model::ModelSpec::branchSite();
+}
+
 }  // namespace
 
 StudySpec defaultStudySpec() {
@@ -87,19 +99,16 @@ SimulatedGene simulateGene(const StudySpec& spec, int scenarioIndex,
   } else {
     // Branch / clade-c truth: classOmegas gives one omega per branch class
     // of the replicate tree (classes {0, 1} — pickForegroundBranch marks
-    // exactly one class-1 branch).
-    SLIM_REQUIRE(!scenario.classOmegas.empty(),
+    // exactly one class-1 branch).  Site truth: M2a when positive, else M1a.
+    const model::ModelSpec fitSpec = scenarioModelSpec(scenario.modelKind);
+    SLIM_REQUIRE(fitSpec.numClassOmegaParams(model::Hypothesis::H1) == 0 ||
+                     !scenario.classOmegas.empty(),
                  "scenario '" + scenario.name +
                      "': classOmegas is required for model '" +
                      model::modelKindName(scenario.modelKind) + "'");
-    const model::MixtureSpec mix =
-        scenario.modelKind == model::ModelKind::Branch
-            ? model::buildBranchModelSpec(gc, pi, scenario.params.kappa,
-                                          scenario.classOmegas)
-            : model::buildCladeCSpec(gc, pi, scenario.params.kappa,
-                                     scenario.params.omega0,
-                                     scenario.params.p0, scenario.params.p1,
-                                     scenario.classOmegas);
+    const model::MixtureSpec mix = fitSpec.mixtureAt(
+        gc, pi, scenario.params, scenario.classOmegas,
+        scenario.positive ? model::Hypothesis::H1 : model::Hypothesis::H0);
     simulated = sim::evolveMixture(gc, tree, mix, spec.numCodons, pi, rng);
   }
 
@@ -164,14 +173,9 @@ StudyResult runStudy(const StudySpec& spec) {
   };
   std::vector<GeneLabel> labels;
   for (int s = 0; s < static_cast<int>(spec.scenarios.size()); ++s) {
-    // Fit each scenario under its own model family; the replicate trees
-    // carry classes {0, 1}, so non-branch-site specs are two-class.
+    // Fit each scenario under its own model family.
     core::FitOptions scenarioFit = spec.fit;
-    if (spec.scenarios[s].modelKind != model::ModelKind::BranchSite)
-      scenarioFit.modelSpec =
-          spec.scenarios[s].modelKind == model::ModelKind::Branch
-              ? model::ModelSpec::branch(2)
-              : model::ModelSpec::cladeC(2);
+    scenarioFit.modelSpec = scenarioModelSpec(spec.scenarios[s].modelKind);
     for (int r = 0; r < spec.replicates; ++r) {
       SimulatedGene gene = simulateGene(spec, s, r);
       batch.addGene(gene.codons, gene.tree, scenarioFit, gene.name);

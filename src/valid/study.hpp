@@ -32,15 +32,16 @@ namespace slim::valid {
 struct ScenarioSpec {
   std::string name;      ///< e.g. "null", "positive" (used in reports/keys)
   /// Truth: simulate under H1 (genuine positive selection, params.omega2
-  /// applies) or under H0 (omega2 forced to 1 — null data).  For the
-  /// non-branch-site kinds the truth is classOmegas itself; `positive` is
-  /// only the ROC label.
+  /// applies) or under H0 (omega2 forced to 1 — null data; M1a for the
+  /// site models).  For the branch-class kinds the truth is classOmegas
+  /// itself; `positive` is only the ROC label.
   bool positive = false;
   model::BranchSiteParams params{};  ///< simulation truth parameters
   /// Which model family to simulate and fit.  BranchSite keeps the classic
   /// study bit-identical; Branch / CladeC simulate under classOmegas (one
   /// divergent/class omega per branch class of the replicate tree, which
-  /// carries classes {0, 1}) and fit the matching two-class ModelSpec.
+  /// carries classes {0, 1}) and fit the matching two-class ModelSpec; Site
+  /// simulates M2a (positive) or M1a from params and fits M1a vs M2a.
   model::ModelKind modelKind = model::ModelKind::BranchSite;
   std::vector<double> classOmegas;  ///< truth per branch class (non-branch-site)
 };

@@ -271,6 +271,26 @@ TEST(ConfigParse, ModelSelection) {
   }
 }
 
+// Site models have no foreground: the pair is one keyed parse error, which
+// the CLI, batch runs and daemon submissions all reach.
+TEST(ConfigParse, ForegroundWithSiteModelIsAKeyedError) {
+  for (const char* foreground : {"every-branch", "human,chimp"}) {
+    try {
+      Config::parseString(std::string("seqfile = s\ntreefile = t\nmodel = "
+                                      "site\nforeground = ") +
+                          foreground + "\n");
+      ADD_FAILURE() << "expected a ConfigError";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("'foreground ='"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("'model = site'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ConfigParse, ForegroundSelector) {
   // Default: no scan.
   EXPECT_TRUE(Config::parseString("seqfile = s\ntreefile = t\n")
@@ -298,12 +318,16 @@ TEST_F(ConfigRun, SiteModelEndToEnd) {
   write(ctl, "seqfile = " + fasta + "\ntreefile = " + nwk +
                  "\nmodel = site\noutfile = -\nmaxIterations = 3\n");
   const auto cfg = Config::parseFile(ctl);
-  const auto test = runSiteModelFromConfig(cfg);
-  EXPECT_TRUE(std::isfinite(test.m1a.lnL));
-  EXPECT_TRUE(std::isfinite(test.m2a.lnL));
+  const auto test = runFromConfig(cfg);
+  EXPECT_EQ(test.h0.modelKind, model::ModelKind::Site);
+  EXPECT_TRUE(std::isfinite(test.h0.lnL));  // M1a
+  EXPECT_TRUE(std::isfinite(test.h1.lnL));  // M2a
   EXPECT_DOUBLE_EQ(test.lrt.df, 2.0);
-  // Kind mismatch is rejected on both entry points.
-  EXPECT_THROW(runFromConfig(cfg), std::invalid_argument);
+  EXPECT_EQ(modelSpecFor(AnalysisKind::Site, 3), model::ModelSpec::site());
+  // The batch runner takes the same control file.
+  const auto batch = runBatchFromConfig(cfg);
+  ASSERT_EQ(batch.tests.size(), 1u);
+  EXPECT_EQ(batch.tests[0].h1.lnL, test.h1.lnL);
   std::remove(fasta.c_str());
   std::remove(nwk.c_str());
   std::remove(ctl.c_str());

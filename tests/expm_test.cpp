@@ -9,11 +9,11 @@
 #include <cmath>
 
 #include "expm/codon_eigen_system.hpp"
-#include "expm/pade.hpp"
 #include "linalg/blas2.hpp"
 #include "linalg/blas3.hpp"
 #include "model/branch_site.hpp"
 #include "model/codon_model.hpp"
+#include "oracle/pade.hpp"
 #include "test_util.hpp"
 
 namespace slim::expm {
@@ -22,6 +22,7 @@ namespace {
 using linalg::Flavor;
 using linalg::Matrix;
 using linalg::Vector;
+using oracle::expmPade;
 using testutil::randomFrequencies;
 
 const bio::GeneticCode& gc() { return bio::GeneticCode::universal(); }

@@ -39,20 +39,13 @@ std::string hexList(const std::vector<double>& values) {
 }
 
 // One fit as a line of hex floats.
-std::string fingerprint(double lnL, const model::BranchSiteParams& p,
-                        const std::vector<double>& classOmegas,
-                        const std::vector<double>& branchLengths,
-                        int iterations) {
-  return "lnL=" + hex(lnL) + " kappa=" + hex(p.kappa) + " omega0=" +
-         hex(p.omega0) + " omega2=" + hex(p.omega2) + " p0=" + hex(p.p0) +
-         " p1=" + hex(p.p1) + " classOmegas=" + hexList(classOmegas) +
-         " t=" + hexList(branchLengths) +
-         " iterations=" + std::to_string(iterations);
-}
-
 std::string fingerprint(const FitResult& f) {
-  return fingerprint(f.lnL, f.params, f.classOmegas, f.branchLengths,
-                     f.iterations);
+  const model::BranchSiteParams& p = f.params;
+  return "lnL=" + hex(f.lnL) + " kappa=" + hex(p.kappa) + " omega0=" +
+         hex(p.omega0) + " omega2=" + hex(p.omega2) + " p0=" + hex(p.p0) +
+         " p1=" + hex(p.p1) + " classOmegas=" + hexList(f.classOmegas) +
+         " t=" + hexList(f.branchLengths) +
+         " iterations=" + std::to_string(f.iterations);
 }
 
 class FitPaths : public ::testing::Test {
@@ -214,26 +207,9 @@ TEST_F(FitPaths, TrajectoryBitsPinned) {
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.model) + ", gradient = " + c.gradient);
     const Config cfg = config(c.model, c.gradient);
-    std::string h0, h1;
-    if (cfg.analysis == AnalysisKind::Site) {
-      const auto test = runSiteModelFromConfig(cfg);
-      h0 = fingerprint(test.m1a.lnL,
-                       {test.m1a.params.kappa, test.m1a.params.omega0,
-                        test.m1a.params.omega2, test.m1a.params.p0,
-                        test.m1a.params.p1},
-                       {}, test.m1a.branchLengths, test.m1a.iterations);
-      h1 = fingerprint(test.m2a.lnL,
-                       {test.m2a.params.kappa, test.m2a.params.omega0,
-                        test.m2a.params.omega2, test.m2a.params.p0,
-                        test.m2a.params.p1},
-                       {}, test.m2a.branchLengths, test.m2a.iterations);
-    } else {
-      const auto test = runFromConfig(cfg);
-      h0 = fingerprint(test.h0);
-      h1 = fingerprint(test.h1);
-    }
-    EXPECT_EQ(h0, c.h0);
-    EXPECT_EQ(h1, c.h1);
+    const auto test = runFromConfig(config(c.model, c.gradient));
+    EXPECT_EQ(fingerprint(test.h0), c.h0);
+    EXPECT_EQ(fingerprint(test.h1), c.h1);
   }
   std::remove(path("gene.fasta").c_str());
   std::remove(path("gene.nwk").c_str());

@@ -23,7 +23,6 @@
 
 #include "core/analysis.hpp"
 #include "core/context.hpp"
-#include "core/site_models.hpp"
 #include "model/frequencies.hpp"
 #include "opt/transforms.hpp"
 #include "sim/datasets.hpp"
@@ -222,23 +221,26 @@ TEST(GradientModes, FitsAgreeAndAnalyticCutsEvaluations) {
 
 TEST(GradientModes, SiteModelFitsAgreeAcrossModes) {
   const auto d = makeData(6, 30, 29);
-  core::SiteModelFitOptions base;
+  core::FitOptions base;
+  base.modelSpec = model::ModelSpec::site();
   base.bfgs.maxIterations = 80;
+  base.initialParams.p0 = 0.5;
+  base.initialParams.p1 = 0.4;
 
-  core::SiteModelFitResult fd, analytic;
+  core::FitResult fd, analytic;
   {
-    core::SiteModelFitOptions opts = base;
+    core::FitOptions opts = base;
     opts.tuning.gradient = GradientMode::FiniteDiff;
-    core::SiteModelAnalysis analysis(d.codons, d.tree, core::EngineKind::Slim,
-                                     opts);
-    fd = analysis.fit(core::SiteModel::M2a);
+    core::BranchSiteAnalysis analysis(d.codons, d.tree, core::EngineKind::Slim,
+                                      opts);
+    fd = analysis.fit(Hypothesis::H1);  // M2a
   }
   {
-    core::SiteModelFitOptions opts = base;
+    core::FitOptions opts = base;
     opts.tuning.gradient = GradientMode::Analytic;
-    core::SiteModelAnalysis analysis(d.codons, d.tree, core::EngineKind::Slim,
-                                     opts);
-    analytic = analysis.fit(core::SiteModel::M2a);
+    core::BranchSiteAnalysis analysis(d.codons, d.tree, core::EngineKind::Slim,
+                                      opts);
+    analytic = analysis.fit(Hypothesis::H1);
   }
   EXPECT_NEAR(fd.lnL, analytic.lnL, 1e-6 * (1.0 + std::fabs(fd.lnL)));
   EXPECT_LT(analytic.gradientEvaluations, fd.gradientEvaluations);
@@ -251,8 +253,6 @@ struct Instance {
   const char* name;
   model::ModelSpec spec;
   Hypothesis hypothesis;
-  bool siteModel = false;  // M1a/M2a through SiteModelAnalysis
-  core::SiteModel site = core::SiteModel::M1a;
 };
 
 std::vector<Instance> allInstances() {
@@ -263,8 +263,8 @@ std::vector<Instance> allInstances() {
       {"branch H1", model::ModelSpec::branch(2), Hypothesis::H1},
       {"clade-c H0", model::ModelSpec::cladeC(2), Hypothesis::H0},
       {"clade-c H1", model::ModelSpec::cladeC(2), Hypothesis::H1},
-      {"M1a", {}, Hypothesis::H1, true, core::SiteModel::M1a},
-      {"M2a", {}, Hypothesis::H1, true, core::SiteModel::M2a},
+      {"M1a", model::ModelSpec::site(), Hypothesis::H0},
+      {"M2a", model::ModelSpec::site(), Hypothesis::H1},
   };
 }
 
@@ -279,8 +279,8 @@ model::BranchSiteParams startPoint(bool nearBoundary) {
   return p;
 }
 
-// The gradient (over the packed internal coordinates) that a branch-class
-// fit computes at its start point, taken from the optimizer's first
+// The gradient (over the packed internal coordinates) that a fit computes
+// at its start point, taken from the optimizer's first
 // snapshot (the checkpoint sink).
 struct StartGradient {
   std::vector<double> grad;
@@ -337,7 +337,6 @@ SimData withMissingData(SimData d) {
 TEST(FullAnalyticGradient, MatchesCentralFiniteDifferencesForEveryInstance) {
   const auto d = withMissingData(makeData(6, 40, 31));
   for (const Instance& inst : allInstances()) {
-    if (inst.siteModel) continue;  // SiteModelsMatchCentralFiniteDifferences
     for (bool nearBoundary : {false, true}) {
       const auto start = startPoint(nearBoundary);
       const auto fd =
@@ -358,9 +357,8 @@ TEST(FullAnalyticGradient, MatchesCentralFiniteDifferencesForEveryInstance) {
 }
 
 // M1a/M2a at the likelihood layer, in the model's own parameters (kappa,
-// omega0, omega2, p0, p1 and the branch lengths): the site-model packing's
-// chain rule is the transform-Jacobian product the branch-class fits above
-// already check in packed coordinates.
+// omega0, omega2, p0, p1 and the branch lengths); the packed coordinates
+// are checked with every other instance above.
 TEST(FullAnalyticGradient, SiteModelsMatchCentralFiniteDifferences) {
   const auto d = withMissingData(makeData(6, 40, 53));
   const auto& gc = *d.codons.code;
@@ -553,31 +551,16 @@ TEST(FullAnalyticGradient, EigenPathFitsSpendNoFiniteDifferenceProbe) {
     tuning.numThreads = 2;
     opt::BfgsOptions bfgs;
     bfgs.maxIterations = 6;
-    long gradientEvaluations = -1;
-    int iterations = 0;
-    if (inst.siteModel) {
-      core::SiteModelFitOptions opts;
-      opts.bfgs = bfgs;
-      opts.tuning = tuning;
-      core::SiteModelAnalysis analysis(d.codons, d.tree,
-                                       core::EngineKind::Slim, opts);
-      const auto r = analysis.fit(inst.site);
-      gradientEvaluations = r.gradientEvaluations;
-      iterations = r.iterations;
-    } else {
-      core::FitOptions opts;
-      opts.modelSpec = inst.spec;
-      opts.bfgs = bfgs;
-      opts.tuning = tuning;
-      core::BranchSiteAnalysis analysis(d.codons, d.tree,
-                                        core::EngineKind::Slim, opts);
-      const auto r = analysis.fit(inst.hypothesis);
-      gradientEvaluations = r.gradientEvaluations;
-      iterations = r.iterations;
-      EXPECT_GT(r.counters.gradientSweeps, 0) << inst.name;
-    }
-    EXPECT_GT(iterations, 0) << inst.name;
-    EXPECT_EQ(gradientEvaluations, 0) << inst.name;
+    core::FitOptions opts;
+    opts.modelSpec = inst.spec;
+    opts.bfgs = bfgs;
+    opts.tuning = tuning;
+    core::BranchSiteAnalysis analysis(d.codons, d.tree, core::EngineKind::Slim,
+                                      opts);
+    const auto r = analysis.fit(inst.hypothesis);
+    EXPECT_GT(r.counters.gradientSweeps, 0) << inst.name;
+    EXPECT_GT(r.iterations, 0) << inst.name;
+    EXPECT_EQ(r.gradientEvaluations, 0) << inst.name;
   }
 }
 

@@ -1,25 +1,26 @@
 // Tests for the branch-site likelihood engine.
 //
-// The decisive test validates the full pruning + mixture machinery against a
-// brute-force reference implemented here from scratch: transition matrices
+// The decisive tests validate the full pruning + mixture machinery against
+// the brute-force oracle (tests/oracle/brute_force.hpp): transition matrices
 // via the Pade oracle (no eigendecomposition), pruning via a plain recursive
-// definition (no pattern bundling, no scaling, no caching).  Every engine
-// configuration (2 propagation strategies x 2 kernel flavors x 2
-// reconstruction paths) must agree with it — the in-vitro version of the
+// definition (no pattern bundling, no scaling, no caching), the mixture read
+// through MixtureClass::omegaFor.  Every engine configuration (2 propagation
+// strategies x 2 kernel flavors x 2 reconstruction paths) and every
+// ModelSpec instance must agree with it — the in-vitro version of the
 // paper's accuracy experiment (Sec. IV-1).
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
-#include <functional>
 #include <string>
 
-#include "expm/pade.hpp"
 #include "lik/branch_site_likelihood.hpp"
 #include "model/codon_model.hpp"
 #include "model/frequencies.hpp"
+#include "model/model_spec.hpp"
 #include "model/site_mixture.hpp"
+#include "oracle/brute_force.hpp"
 #include "sim/datasets.hpp"
 #include "test_util.hpp"
 
@@ -66,72 +67,12 @@ BranchSiteParams testParams() {
   return p;
 }
 
-// Brute-force reference: Pade transition matrices + plain recursion.
+// The oracle's ln L of model A at these parameters.
 double bruteForceLnL(const Fixture& f, const BranchSiteParams& params,
                      Hypothesis hyp) {
-  const int n = gc().numSense();
-  const auto qset = model::buildBranchSiteQSet(gc(), f.pi, params, hyp);
-  const auto prop = model::siteClassProportions(params.p0, params.p1);
-
-  // P(t) per (branch node, omega class) via the Pade oracle.
-  std::vector<std::array<Matrix, model::kNumOmegaClasses>> pMat(
-      f.tree.numNodes());
-  for (int id : f.tree.branches()) {
-    for (int k = 0; k < model::kNumOmegaClasses; ++k) {
-      Matrix q(n, n);
-      model::buildRateMatrix(qset.scaledS[k], f.pi, q);
-      for (std::size_t x = 0; x < q.size(); ++x)
-        q.data()[x] *= f.tree.branchLength(id);
-      pMat[id][k] = expm::expmPade(q);
-    }
-  }
-
-  // Leaf row lookup by name.
-  auto leafRow = [&](int node) {
-    for (std::size_t s = 0; s < f.alignment.names.size(); ++s)
-      if (f.alignment.names[s] == f.tree.node(node).label)
-        return static_cast<int>(s);
-    ADD_FAILURE() << "leaf not found";
-    return -1;
-  };
-
-  double lnL = 0.0;
-  for (std::size_t h = 0; h < f.patterns.numPatterns(); ++h) {
-    double fh = 0.0;
-    for (int m = 0; m < model::kNumSiteClasses; ++m) {
-      std::function<std::vector<double>(int)> partial =
-          [&](int node) -> std::vector<double> {
-        if (f.tree.node(node).isLeaf()) {
-          std::vector<double> v(n, 0.0);
-          const int state = f.patterns.patterns[h][leafRow(node)];
-          if (state == seqio::kMissingState)
-            v.assign(n, 1.0);
-          else
-            v[state] = 1.0;
-          return v;
-        }
-        std::vector<double> v(n, 1.0);
-        for (int child : f.tree.node(node).children) {
-          const auto w = partial(child);
-          const int om =
-              model::omegaIndexFor(m, f.tree.node(child).mark != 0);
-          const Matrix& p = pMat[child][om];
-          for (int i = 0; i < n; ++i) {
-            double s = 0.0;
-            for (int j = 0; j < n; ++j) s += p(i, j) * w[j];
-            v[i] *= s;
-          }
-        }
-        return v;
-      };
-      const auto rootV = partial(f.tree.root());
-      double fmh = 0.0;
-      for (int i = 0; i < n; ++i) fmh += f.pi[i] * rootV[i];
-      fh += prop[m] * fmh;
-    }
-    lnL += f.patterns.weights[h] * std::log(fh);
-  }
-  return lnL;
+  return oracle::bruteForceLnL(
+      f.alignment, f.patterns, f.pi, f.tree,
+      model::buildModelASpec(gc(), f.pi, params, hyp));
 }
 
 // ---------- agreement with the brute-force reference ----------
@@ -188,6 +129,50 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(expm::ReconstructionPath::Gemm,
                                          expm::ReconstructionPath::Syrk)),
     ConfigName{});
+
+// Every ModelSpec instance, through ModelSpec::mixtureAt, against the
+// oracle: branch-site A, branch and clade model C under H0/H1 (two branch
+// classes: the fixture's #1 mark), M1a and M2a, plus one adaptive-expm run.
+TEST(Oracle, EveryModelInstanceMatchesBruteForce) {
+  const Fixture f = makeFixture();
+  struct Instance {
+    const char* name;
+    model::ModelSpec spec;
+    Hypothesis hypothesis;
+    std::vector<double> classOmegas;
+    backend::ExpmAlgorithm expm = backend::ExpmAlgorithm::Eigen;
+  };
+  const Instance instances[] = {
+      {"branch-site H0", model::ModelSpec::branchSite(), Hypothesis::H0, {}},
+      {"branch-site H1", model::ModelSpec::branchSite(), Hypothesis::H1, {}},
+      {"branch H0", model::ModelSpec::branch(2), Hypothesis::H0, {0.4}},
+      {"branch H1", model::ModelSpec::branch(2), Hypothesis::H1, {0.4, 2.5}},
+      {"clade-c H0", model::ModelSpec::cladeC(2), Hypothesis::H0, {1.8}},
+      {"clade-c H1", model::ModelSpec::cladeC(2), Hypothesis::H1, {1.8, 0.6}},
+      {"M1a", model::ModelSpec::site(), Hypothesis::H0, {}},
+      {"M2a", model::ModelSpec::site(), Hypothesis::H1, {}},
+      {"branch-site H1, expm = adaptive", model::ModelSpec::branchSite(),
+       Hypothesis::H1, {}, backend::ExpmAlgorithm::Adaptive},
+  };
+  for (const Instance& inst : instances) {
+    SCOPED_TRACE(inst.name);
+    BranchSiteParams params = testParams();
+    if (inst.spec.kind == model::ModelKind::BranchSite &&
+        inst.hypothesis == Hypothesis::H0)
+      params.omega2 = 1.0;
+    const auto spec = inst.spec.mixtureAt(gc(), f.pi, params, inst.classOmegas,
+                                          inst.hypothesis);
+    ASSERT_EQ(spec.numClasses(), inst.spec.numSiteClasses(inst.hypothesis));
+    LikelihoodOptions options = slimOptions();
+    options.expm = inst.expm;
+    BranchSiteLikelihood eval(f.alignment, f.patterns, f.pi, f.tree,
+                              inst.hypothesis, options);
+    const double got = eval.logLikelihood(spec);
+    const double want =
+        oracle::bruteForceLnL(f.alignment, f.patterns, f.pi, f.tree, spec);
+    EXPECT_NEAR(got, want, 1e-10 * std::fabs(want));
+  }
+}
 
 // ---------- the paper's accuracy metric between the two presets ----------
 

@@ -1,5 +1,6 @@
 // ModelSpec: the (site class x branch class) -> omega-slot assignment table
-// behind branch-site A, the branch model and clade model C.  The central pin
+// behind branch-site A, the branch model, clade model C and M1a/M2a, and
+// the parameter table every fit is packed from.  The central pin
 // is the first TEST: the generic branch-site table reproduces the historic
 // omegaIndexFor(siteClass, bool) switch cell for cell, which is what keeps
 // the refactored likelihood path bit-identical.
@@ -7,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "bio/genetic_code.hpp"
 #include "model/branch_site.hpp"
@@ -132,4 +135,87 @@ TEST(ModelSpecTest, ModelKindNames) {
   EXPECT_STREQ(model::modelKindName(ModelKind::BranchSite), "branch-site");
   EXPECT_STREQ(model::modelKindName(ModelKind::Branch), "branch");
   EXPECT_STREQ(model::modelKindName(ModelKind::CladeC), "clade-c");
+  EXPECT_STREQ(model::modelKindName(ModelKind::Site), "site");
+  EXPECT_STREQ(model::hypothesisName(ModelKind::Site, Hypothesis::H0), "M1a");
+  EXPECT_STREQ(model::hypothesisName(ModelKind::Site, Hypothesis::H1), "M2a");
+  EXPECT_STREQ(model::hypothesisName(ModelKind::CladeC, Hypothesis::H1),
+               "H1");
+}
+
+TEST(ModelSpecTest, SiteShape) {
+  const ModelSpec spec = ModelSpec::site();
+  EXPECT_NO_THROW(spec.validate());
+  EXPECT_THROW((ModelSpec{ModelKind::Site, 2}).validate(),
+               std::invalid_argument);
+  EXPECT_EQ(spec.numSiteClasses(Hypothesis::H0), 2);
+  EXPECT_EQ(spec.numSiteClasses(Hypothesis::H1), 3);
+  EXPECT_EQ(spec.numOmegaSlots(Hypothesis::H0), 2);
+  EXPECT_EQ(spec.numOmegaSlots(Hypothesis::H1), 3);
+  EXPECT_DOUBLE_EQ(spec.lrtDegreesOfFreedom(), 2.0);
+  EXPECT_EQ(spec.numClassOmegaParams(Hypothesis::H1), 0);
+  EXPECT_EQ(spec.omegaAssignment(Hypothesis::H1),
+            (std::vector<std::vector<int>>{{0}, {1}, {2}}));
+  // Marks are ignored: every branch class reads the one column.
+  EXPECT_EQ(spec.omegaSlotFor(2, 3, Hypothesis::H1), 2);
+  EXPECT_FALSE(spec.needsMarkedBranch());
+  EXPECT_TRUE(spec.hasSiteMixture());
+  EXPECT_FALSE(ModelSpec::branch(2).hasSiteMixture());
+  EXPECT_TRUE(ModelSpec::branchSite().needsMarkedBranch());
+}
+
+// The parameter table: coordinate counts, order and gradient slots per
+// kind (the packing and the fit driver read nothing else).
+TEST(ModelSpecTest, ParameterTables) {
+  using Name = model::FreeParameter::Name;
+  const auto names = [](const std::vector<model::FreeParameter>& table) {
+    std::vector<std::pair<Name, int>> out;
+    for (const auto& p : table) out.emplace_back(p.name, p.coordinates);
+    return out;
+  };
+  using V = std::vector<std::pair<Name, int>>;
+  EXPECT_EQ(names(ModelSpec::branchSite().parameters(Hypothesis::H0)),
+            (V{{Name::Kappa, 1}, {Name::Omega0, 1}, {Name::Omega2, 0},
+               {Name::Proportions, 2}}));
+  EXPECT_EQ(names(ModelSpec::branchSite().parameters(Hypothesis::H1)),
+            (V{{Name::Kappa, 1}, {Name::Omega0, 1}, {Name::Omega2, 1},
+               {Name::Proportions, 2}}));
+  EXPECT_EQ(names(ModelSpec::branch(3).parameters(Hypothesis::H1)),
+            (V{{Name::Kappa, 1}, {Name::ClassOmegas, 3}}));
+  EXPECT_EQ(names(ModelSpec::cladeC(2).parameters(Hypothesis::H0)),
+            (V{{Name::Kappa, 1}, {Name::Omega0, 1}, {Name::ClassOmegas, 1},
+               {Name::Proportions, 2}}));
+  EXPECT_EQ(names(ModelSpec::site().parameters(Hypothesis::H0)),
+            (V{{Name::Kappa, 1}, {Name::Omega0, 1}, {Name::P0, 1}}));
+  EXPECT_EQ(names(ModelSpec::site().parameters(Hypothesis::H1)),
+            (V{{Name::Kappa, 1}, {Name::Omega0, 1}, {Name::Omega2, 1},
+               {Name::Proportions, 2}}));
+  EXPECT_EQ(ModelSpec::cladeC(2).parameters(Hypothesis::H1)[2].omegaSlot, 2);
+  EXPECT_EQ(ModelSpec::branch(2).parameters(Hypothesis::H1)[1].omegaSlot, 0);
+  EXPECT_EQ(ModelSpec::site().parameters(Hypothesis::H1)[2].omegaSlot, 2);
+}
+
+// mixtureAt calls the kind's builder; start class omegas follow the
+// documented roles of omega0 / omega2.
+TEST(ModelSpecTest, MixtureAtAndStartClassOmegas) {
+  const auto& gc = slim::bio::GeneticCode::universal();
+  const std::vector<double> pi(gc.numSense(), 1.0 / gc.numSense());
+  model::BranchSiteParams p;
+  p.p0 = 0.5;
+  p.p1 = 0.3;
+  const auto m1a = ModelSpec::site().mixtureAt(gc, pi, p, {}, Hypothesis::H0);
+  ASSERT_EQ(m1a.numClasses(), 2);
+  EXPECT_DOUBLE_EQ(m1a.classes[1].proportion, 0.5);
+  const auto m2a = ModelSpec::site().mixtureAt(gc, pi, p, {}, Hypothesis::H1);
+  ASSERT_EQ(m2a.numClasses(), 3);
+  EXPECT_DOUBLE_EQ(m2a.omegas[2], p.omega2);
+  const double divergent[] = {0.8, 4.0};
+  EXPECT_EQ(ModelSpec::cladeC(2)
+                .mixtureAt(gc, pi, p, divergent, Hypothesis::H1)
+                .numOmegas(),
+            4);
+  EXPECT_EQ(ModelSpec::branch(3).startClassOmegas(p, Hypothesis::H1),
+            (std::vector<double>{p.omega0, p.omega2, p.omega2}));
+  EXPECT_EQ(ModelSpec::cladeC(2).startClassOmegas(p, Hypothesis::H0),
+            (std::vector<double>{p.omega2}));
+  EXPECT_TRUE(ModelSpec::site().startClassOmegas(p, Hypothesis::H1).empty());
 }

@@ -1,4 +1,4 @@
-#include "expm/pade.hpp"
+#include "oracle/pade.hpp"
 
 #include <cmath>
 
@@ -6,7 +6,7 @@
 #include "linalg/lu.hpp"
 #include "support/require.hpp"
 
-namespace slim::expm {
+namespace slim::oracle {
 
 using linalg::Flavor;
 using linalg::Matrix;
@@ -58,4 +58,4 @@ Matrix expmPade(const Matrix& a) {
   return x;
 }
 
-}  // namespace slim::expm
+}  // namespace slim::oracle

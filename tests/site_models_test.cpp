@@ -1,16 +1,20 @@
 // Tests for the generic omega-class mixtures and the M1a/M2a site models —
 // the "further ML-based evolutionary models" extension of the paper's
-// conclusion, running through the same likelihood engine as model A.
+// conclusion, running through the same likelihood engine and the same fit
+// path (ModelSpec::site(), fitHypothesis) as model A.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <functional>
+#include <sstream>
+#include <string>
 
-#include "core/site_models.hpp"
-#include "expm/pade.hpp"
+#include "core/analysis.hpp"
+#include "core/report.hpp"
 #include "model/codon_model.hpp"
+#include "model/model_spec.hpp"
 #include "model/site_mixture.hpp"
+#include "oracle/brute_force.hpp"
 #include "sim/datasets.hpp"
 #include "test_util.hpp"
 
@@ -145,7 +149,6 @@ TEST(GenericEvaluator, M2aApproachesM1aAsThirdClassVanishes) {
 }
 
 TEST(GenericEvaluator, M1aMatchesBruteForce) {
-  // Independent reference: Pade transition matrices + plain recursion.
   const auto f = makeFixture(8);
   SiteModelParams p;
   p.kappa = 1.8;
@@ -156,52 +159,7 @@ TEST(GenericEvaluator, M1aMatchesBruteForce) {
   lik::BranchSiteLikelihood eval(f.ca, f.sp, f.pi, f.tree,
                                  model::Hypothesis::H1, lik::slimOptions());
   const double got = eval.logLikelihood(spec);
-
-  const int n = 61;
-  double lnL = 0;
-  for (std::size_t h = 0; h < f.sp.numPatterns(); ++h) {
-    double fh = 0;
-    for (int m = 0; m < spec.numClasses(); ++m) {
-      linalg::Matrix q(n, n);
-      model::buildRateMatrix(spec.scaledS[spec.classes[m].omegaBackground()],
-                             f.pi, q);
-      std::function<std::vector<double>(int)> partial =
-          [&](int node) -> std::vector<double> {
-        if (f.tree.node(node).isLeaf()) {
-          std::vector<double> v(n, 0.0);
-          int row = -1;
-          for (std::size_t s = 0; s < f.ca.names.size(); ++s)
-            if (f.ca.names[s] == f.tree.node(node).label)
-              row = static_cast<int>(s);
-          const int state = f.sp.patterns[h][row];
-          if (state == seqio::kMissingState)
-            v.assign(n, 1.0);
-          else
-            v[state] = 1.0;
-          return v;
-        }
-        std::vector<double> v(n, 1.0);
-        for (int child : f.tree.node(node).children) {
-          const auto w = partial(child);
-          linalg::Matrix qt = q;
-          for (std::size_t x = 0; x < qt.size(); ++x)
-            qt.data()[x] *= f.tree.branchLength(child);
-          const auto pMat = expm::expmPade(qt);
-          for (int i = 0; i < n; ++i) {
-            double s = 0;
-            for (int j = 0; j < n; ++j) s += pMat(i, j) * w[j];
-            v[i] *= s;
-          }
-        }
-        return v;
-      };
-      const auto rootV = partial(f.tree.root());
-      double fmh = 0;
-      for (int i = 0; i < n; ++i) fmh += f.pi[i] * rootV[i];
-      fh += spec.classes[m].proportion * fmh;
-    }
-    lnL += f.sp.weights[h] * std::log(fh);
-  }
+  const double lnL = oracle::bruteForceLnL(f.ca, f.sp, f.pi, f.tree, spec);
   EXPECT_NEAR(got, lnL, 1e-8 * std::fabs(lnL));
 }
 
@@ -229,19 +187,31 @@ TEST(EvolveMixture, HeterogeneousSpecRequiresMark) {
 
 // ---------- the M1a-vs-M2a analysis ----------
 
+// The fit options of a site-model analysis, starting where the former
+// site-model driver started (p0 = 0.5, p1 = 0.4).
+core::FitOptions siteOptions(int maxIterations) {
+  core::FitOptions opts;
+  opts.modelSpec = model::ModelSpec::site();
+  opts.bfgs.maxIterations = maxIterations;
+  opts.initialParams.p0 = 0.5;
+  opts.initialParams.p1 = 0.4;
+  return opts;
+}
+
 TEST(SiteModelAnalysisTest, FitRunsAndRespectsNesting) {
   const auto f = makeFixture(30);
-  core::SiteModelFitOptions opts;
-  opts.bfgs.maxIterations = 8;
-  core::SiteModelAnalysis analysis(f.ca, f.tree, core::EngineKind::Slim, opts);
-  const auto m1a = analysis.fit(core::SiteModel::M1a);
-  const auto m2a = analysis.fit(core::SiteModel::M2a);
+  core::BranchSiteAnalysis analysis(f.ca, f.tree, core::EngineKind::Slim,
+                                    siteOptions(8));
+  const auto m1a = analysis.fit(model::Hypothesis::H0);
+  const auto m2a = analysis.fit(model::Hypothesis::H1);
+  EXPECT_EQ(m1a.modelKind, model::ModelKind::Site);
   EXPECT_TRUE(std::isfinite(m1a.lnL));
   EXPECT_TRUE(std::isfinite(m2a.lnL));
   EXPECT_GT(m1a.params.omega0, 0.0);
   EXPECT_LT(m1a.params.omega0, 1.0);
   EXPECT_NEAR(m1a.params.p0 + m1a.params.p1, 1.0, 1e-12);
   EXPECT_GE(m2a.params.omega2, 1.0);
+  EXPECT_TRUE(m1a.classOmegas.empty());
   // M1a is nested in M2a; allow capped-optimizer noise.
   EXPECT_GE(m2a.lnL, m1a.lnL - 0.05);
 }
@@ -249,10 +219,9 @@ TEST(SiteModelAnalysisTest, FitRunsAndRespectsNesting) {
 TEST(SiteModelAnalysisTest, WorksOnUnmarkedTree) {
   auto f = makeFixture(15);
   tree::Tree bare = tree::Tree::parseNewick(f.tree.toNewick(/*marks=*/false));
-  core::SiteModelFitOptions opts;
-  opts.bfgs.maxIterations = 2;
-  core::SiteModelAnalysis analysis(f.ca, bare, core::EngineKind::Slim, opts);
-  EXPECT_NO_THROW(analysis.fit(core::SiteModel::M1a));
+  core::BranchSiteAnalysis analysis(f.ca, bare, core::EngineKind::Slim,
+                                    siteOptions(2));
+  EXPECT_NO_THROW(analysis.fit(model::Hypothesis::H0));
 }
 
 TEST(SiteModelAnalysisTest, DetectsPervasiveSelection) {
@@ -271,17 +240,95 @@ TEST(SiteModelAnalysisTest, DetectsPervasiveSelection) {
   const auto simOut = sim::evolveMixture(gc(), tree, spec, 100, piGen, rng);
   const auto ca = seqio::encodeCodons(simOut.alignment, gc());
 
-  core::SiteModelFitOptions opts;
-  opts.bfgs.maxIterations = 20;
-  core::SiteModelAnalysis analysis(ca, tree, core::EngineKind::Slim, opts);
+  core::BranchSiteAnalysis analysis(ca, tree, core::EngineKind::Slim,
+                                    siteOptions(20));
   const auto test = analysis.run();
   EXPECT_DOUBLE_EQ(test.lrt.df, 2.0);
   EXPECT_GT(test.lrt.statistic, 5.99)  // 5% critical value for df = 2
-      << "M1a lnL=" << test.m1a.lnL << " M2a lnL=" << test.m2a.lnL;
-  EXPECT_GT(test.m2a.params.omega2, 1.5);
+      << "M1a lnL=" << test.h0.lnL << " M2a lnL=" << test.h1.lnL;
+  EXPECT_GT(test.h1.params.omega2, 1.5);
   // Posteriors: 3 classes, expanded to all 100 sites.
   EXPECT_EQ(test.posteriors.post.size(), 3u);
   EXPECT_EQ(test.posteriors.positiveSelectionBySite.size(), 100u);
+
+  // The text report names the models and the site-test verdict.
+  const std::string report =
+      core::testReportString(test, core::EngineKind::Slim);
+  EXPECT_NE(report.find("Site-model test, M1a vs M2a"), std::string::npos);
+  EXPECT_NE(report.find("  M1a: lnL = "), std::string::npos);
+  EXPECT_NE(report.find("  M2a: lnL = "), std::string::npos);
+  EXPECT_NE(report.find("p(chi2_2)"), std::string::npos);
+  EXPECT_NE(report.find("DETECTED across the gene"), std::string::npos);
+  EXPECT_EQ(report.find("p(mixture)"), std::string::npos);
+}
+
+// A cancel predicate firing during the M2a fit: the report must say
+// "(cancelled)" for M2a (the former site-model report printed "iteration cap
+// reached" for any fit that did not converge).
+TEST(SiteModelAnalysisTest, CancelledM2aIsReportedCancelled) {
+  const auto f = makeFixture(20);
+  // How many cancel polls an uncancelled M1a fit makes.
+  int polls = 0;
+  core::FitOptions counting = siteOptions(6);
+  counting.bfgs.cancel = [&polls] {
+    ++polls;
+    return false;
+  };
+  core::BranchSiteAnalysis(f.ca, f.tree, core::EngineKind::Slim, counting)
+      .fit(model::Hypothesis::H0);
+  ASSERT_GT(polls, 0);
+
+  // Same run, cancelled at M2a's second poll: M1a completes unchanged.
+  const int m1aPolls = polls;
+  polls = 0;
+  core::FitOptions cancelling = siteOptions(6);
+  cancelling.bfgs.cancel = [&polls, m1aPolls] { return ++polls > m1aPolls + 1; };
+  core::BranchSiteAnalysis analysis(f.ca, f.tree, core::EngineKind::Slim,
+                                    cancelling);
+  const auto test = analysis.run();
+  EXPECT_FALSE(test.h0.cancelled);
+  EXPECT_TRUE(test.h1.cancelled);
+
+  const std::string report =
+      core::testReportString(test, core::EngineKind::Slim);
+  const auto m2a = report.find("  M2a: lnL = ");
+  ASSERT_NE(m2a, std::string::npos) << report;
+  const std::string m2aBlock = report.substr(m2a);
+  EXPECT_NE(m2aBlock.find("(cancelled)"), std::string::npos) << report;
+  EXPECT_EQ(m2aBlock.find("(iteration cap reached)"), std::string::npos)
+      << report;
+
+  std::ostringstream json;
+  core::writeJsonTestReport(json, test, core::EngineKind::Slim);
+  const std::string h1Json = json.str().substr(json.str().find("\"h1\""));
+  EXPECT_NE(h1Json.find("\"cancelled\":true"), std::string::npos)
+      << json.str();
+  EXPECT_NE(json.str().find("\"model\":\"site\""), std::string::npos);
+}
+
+// With `seed` set, M1a/M2a jitter their start like the other kinds: a
+// different but feasible start, reproducible for one seed.
+TEST(SiteModelAnalysisTest, SeedJittersTheStart) {
+  const auto f = makeFixture(15);
+  core::FitOptions plain = siteOptions(0);
+  core::FitOptions seeded = plain;
+  seeded.startJitterSeed = 17;
+  for (const auto h : {model::Hypothesis::H0, model::Hypothesis::H1}) {
+    const auto a =
+        core::BranchSiteAnalysis(f.ca, f.tree, core::EngineKind::Slim, plain)
+            .fit(h);
+    const auto b =
+        core::BranchSiteAnalysis(f.ca, f.tree, core::EngineKind::Slim, seeded)
+            .fit(h);
+    const auto c =
+        core::BranchSiteAnalysis(f.ca, f.tree, core::EngineKind::Slim, seeded)
+            .fit(h);
+    EXPECT_NE(a.params.kappa, b.params.kappa);
+    EXPECT_NE(a.branchLengths, b.branchLengths);
+    EXPECT_EQ(b.lnL, c.lnL);
+    EXPECT_LT(b.params.omega0, 1.0);
+    EXPECT_TRUE(std::isfinite(b.lnL));
+  }
 }
 
 }  // namespace
