@@ -63,11 +63,12 @@ struct FreeParameter {
     Proportions,  ///< (p0, p1) as the simplex2 pair (u, v)
     P0,           ///< p0 alone, p1 = 1 - p0 (M1a)
   };
-  /// Start jitter with seed s: each value draws v * exp(U(-0.1, 0.1)) from
-  /// one task-local generator, in table order, before the branch lengths.
+  /// Start jitter under a seed: jitter(v) = v * exp(U(-0.1, 0.1)), drawn
+  /// from one task-local generator in table order, before the branch
+  /// lengths.  What a value becomes:
   enum class Jitter {
-    None,         ///< no draw
-    Scale,        ///< v
+    None,         ///< v (no draw)
+    Scale,        ///< jitter(v)
     ScaleBelow1,  ///< min(0.95, jitter(v))
     ScaleAbove1,  ///< 1 + jitter(v - 1 + 0.1); drawn even when pinned
   };

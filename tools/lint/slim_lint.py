@@ -16,8 +16,9 @@ docs/static-analysis.md):
                        raw std::ofstream outside support/atomic_file.cpp can
                        leave a truncated checkpoint/report after SIGKILL.
   keyed-errors         The hostile-input parsers (ctl config, checkpoint,
-                       serve protocol, tuning profile) must throw keyed
-                       ConfigError/ProtocolError/JsonError, never bare
+                       serve protocol, tuning profile, JSON, FASTA/PHYLIP
+                       alignment) must throw keyed ConfigError/
+                       ProtocolError/JsonError/AlignmentError, never bare
                        std::runtime_error — callers (daemon submit,
                        --resume, the fuzz harnesses) key on the type.
   determinism          No rand()/srand()/std::random_device/time(NULL) in
